@@ -671,9 +671,12 @@ def _cmd_explore(args):
             start = time.perf_counter()
             progress = None
             if args.progress:
-                progress = lambda depth, states, frontier, _h=host, _v=variant: print(
-                    f"  {_h}/{_v}: depth {depth}, {states} states, "
-                    f"frontier {frontier}", file=sys.stderr, flush=True)
+                def progress(depth, states, frontier, _cell=f"{host}/{variant}",
+                             _start=start):
+                    rate = states / max(time.perf_counter() - _start, 1e-9)
+                    print(f"  {_cell}: depth {depth}, {states} states, "
+                          f"frontier {frontier}, {rate:.1f} states/s",
+                          file=sys.stderr, flush=True)
             result = explore_cell(
                 host=host, variant=variant, addresses=args.addresses,
                 workers=workers, max_states=args.max_states,
@@ -681,6 +684,8 @@ def _cmd_explore(args):
             )
             elapsed = time.perf_counter() - start
             result["elapsed_sec"] = round(elapsed, 2)
+            result["states_per_sec"] = round(
+                result["states"] / max(elapsed, 1e-9), 1)
             counterexample = result["counterexample"]
             if counterexample is not None:
                 status = "FAIL"
@@ -708,7 +713,7 @@ def _cmd_explore(args):
             rows.append([
                 f"{host}/{variant}", result["states"], result["transitions"],
                 result["quiescent_states"], result["depth"], status,
-                crosscheck, f"{elapsed:.1f}s",
+                crosscheck, f"{elapsed:.1f}s", f"{result['states_per_sec']:.1f}",
             ])
             cells.append(result)
             if counterexample is not None:
@@ -718,7 +723,7 @@ def _cmd_explore(args):
                     print(f"    {step}", file=sys.stderr)
     print(format_table(
         ["cell", "states", "transitions", "quiescent", "depth", "G0-G2",
-         "cross-check", "time"],
+         "cross-check", "time", "states/s"],
         rows,
         title=f"reachability exploration ({args.addresses} address(es), "
               f"{workers} worker(s))",

@@ -30,7 +30,8 @@ transition system:
   bounded.
 
 States are *reconstructed by replay*: a frontier node is the choice path
-from the reset state, re-executed deterministically. That makes frontier
+from the reset state plus the enabled actions read off it while it was
+live, and expanding it re-executes only its children. That makes frontier
 slices picklable — the BFS fans out over the campaign executor
 (:func:`repro.eval.campaign.run_campaign`) with byte-identical
 visited-set digests for any worker count — and makes every
@@ -410,7 +411,7 @@ class ExplorerHarness:
         for name_map in self._core_maps:
             for addr_perm in permutations(self.addresses):
                 addr_map = dict(zip(self.addresses, addr_perm))
-                text = repr(_freeze(_rename(snap, name_map, addr_map)))
+                text = _canonical_text(snap, name_map, addr_map)
                 if best is None or text < best:
                     best = text
         return best
@@ -419,32 +420,36 @@ class ExplorerHarness:
         return _sha(self.canonical())
 
 
-def _rename(obj, name_map, addr_map):
-    """Apply the symmetry renaming to every string and int in a snapshot."""
+def _canonical_text(obj, name_map, addr_map):
+    """Rename a snapshot under one symmetry and render it, in one pass.
+
+    Strings go through ``name_map`` and ints through ``addr_map``. The
+    text is byte for byte the ``repr`` of the nested-tuple form: a dict
+    is ``('dict', (<item texts sorted>))`` with each item ``(key,
+    value)``, a list or tuple is ``('tuple', (...))``, and a 1-tuple
+    keeps its trailing comma. Every subtree is rendered once; sorting
+    item texts is sorting items by ``repr``.
+    """
     if isinstance(obj, str):
-        return name_map.get(obj, obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (bytes, float)):
-        return obj
+        return repr(name_map.get(obj, obj))
+    if obj is None or obj is True or obj is False:
+        return repr(obj)
     if isinstance(obj, int):
-        return addr_map.get(obj, obj)
+        return repr(addr_map.get(obj, obj))
     if isinstance(obj, dict):
-        return {
-            _rename(key, name_map, addr_map): _rename(value, name_map, addr_map)
-            for key, value in obj.items()
-        }
-    if isinstance(obj, (list, tuple)):
-        return tuple(_rename(value, name_map, addr_map) for value in obj)
-    return obj
-
-
-def _freeze(obj):
-    """Deterministic hashable form: dicts become sorted item tuples."""
-    if isinstance(obj, dict):
-        items = [(_freeze(key), _freeze(value)) for key, value in obj.items()]
-        return ("dict", tuple(sorted(items, key=repr)))
-    if isinstance(obj, (list, tuple)):
-        return ("tuple", tuple(_freeze(value) for value in obj))
-    return obj
+        texts = sorted([
+            f"({_canonical_text(key, name_map, addr_map)}, "
+            f"{_canonical_text(value, name_map, addr_map)})"
+            for key, value in obj.items()])
+        head = "('dict', ("
+    elif isinstance(obj, (list, tuple)):
+        texts = [_canonical_text(value, name_map, addr_map) for value in obj]
+        head = "('tuple', ("
+    else:
+        return repr(obj)
+    if len(texts) == 1:
+        return f"{head}{texts[0]},))"
+    return f"{head}{', '.join(texts)}))"
 
 
 def _sha(text):
@@ -471,90 +476,78 @@ def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
     return harness
 
 
-def _expand_paths(cell, paths, check=None, channel_bound=DEFAULT_CHANNEL_BOUND):
-    """Campaign shard runner: expand each frontier path to its children.
+def _expand_paths(cell, nodes, check=None, channel_bound=DEFAULT_CHANNEL_BOUND):
+    """Campaign shard runner: expand each frontier node to its children.
 
-    Returns plain picklable records; the parent BFS merges them in
-    submission order, so sharding never changes the result.
+    A node is ``[path, actions, quiescent]``: its choice path from reset
+    plus what was read off it while it was live as a child. Returns plain
+    picklable records; the parent BFS merges them in submission order,
+    so sharding never changes the result.
     """
     return [
-        _expand_one(cell, tuple(tuple(a) for a in path), check, channel_bound)
-        for path in paths
+        _expand_one(cell, tuple(tuple(a) for a in path), actions, quiescent,
+                    check, channel_bound)
+        for path, actions, quiescent in nodes
     ]
 
 
-def _expand_one(cell, path, check, channel_bound):
-    parent = replay_path(cell, path, channel_bound=channel_bound)
-    record = {
-        "path": [list(a) for a in path],
-        "quiescent": parent.is_quiescent(),
-        "children": [],
-        "violation": None,
-        "covered": {},
-        "projections": set(),
-        "relation": {},
-    }
+def _expand_one(cell, path, actions, quiescent, check, channel_bound):
+    """Replay, check and hash each child of one node.
 
-    def fail(reason, extra_action=None, harness=None):
-        trace = [list(a) for a in path]
-        if extra_action is not None:
-            trace.append(list(extra_action))
-        flagged = harness if harness is not None else parent
-        record["violation"] = {
-            "cell": dict(cell),
-            "path": trace,
-            "reason": reason,
-            "check": check,
-            "canonical": flagged.canonical(),
-            "digest": flagged.digest(),
-        }
+    The node itself was checked, hashed and harvested while it was a
+    child (or is the root, done in :func:`explore_cell`), so it is only
+    replayed again if a counterexample has to name it.
+    """
+    record = {"path": [list(a) for a in path], "children": [],
+              "violation": None, "covered": {}, "projections": set()}
 
-    problems = parent.state_problems(check)
-    if problems:
-        fail(problems[0])
-        return _finish(record, parent)
-    actions = parent.enabled_actions()
-    if not record["quiescent"] and not any(a[0] == "deliver" for a in actions):
+    def fail(reason, action=None, harness=None):
+        trace = path if action is None else path + (tuple(action),)
+        if harness is None:
+            harness = replay_path(cell, path, channel_bound=channel_bound)
+        record["violation"] = _violation(cell, trace, reason, check, harness)
+
+    if not quiescent and not any(a[0] == "deliver" for a in actions):
         fail("deadlock: non-quiescent state with no deliverable message")
-        return _finish(record, parent)
+        return _finish(record)
     for action in actions:
         child = replay_path(cell, path, channel_bound=channel_bound)
         try:
             child.apply(action)
         except (ProtocolError, InvariantError, DeadlockError) as exc:
-            fail(f"{type(exc).__name__}: {exc}", extra_action=action)
+            fail(f"{type(exc).__name__}: {exc}", action)
             break
         problems = child.state_problems(check)
         if problems:
-            fail(problems[0], extra_action=action, harness=child)
+            fail(problems[0], action, child)
             break
-        _harvest(record, child)
+        _harvest(record["covered"], record["projections"], child)
         record["children"].append({
             "action": list(action),
             "digest": child.digest(),
             "quiescent": child.is_quiescent(),
+            "actions": [list(a) for a in child.enabled_actions()],
         })
-    return _finish(record, parent)
+    return _finish(record)
 
 
-def _harvest(record, harness):
+def _violation(cell, path, reason, check, harness):
+    text = harness.canonical()
+    return {"cell": dict(cell), "path": [list(a) for a in path],
+            "reason": reason, "check": check,
+            "canonical": text, "digest": _sha(text)}
+
+
+def _harvest(covered, projections, harness):
     for ctype, pairs in harness.covered_pairs().items():
-        record["covered"].setdefault(ctype, set()).update(
-            tuple(pair) for pair in pairs)
-    record["projections"].update(harness.link_projection())
+        covered.setdefault(ctype, set()).update(tuple(pair) for pair in pairs)
+    projections.update(harness.link_projection())
 
 
-def _finish(record, parent):
-    _harvest(record, parent)
-    for ctype, pairs in parent.transition_relation().items():
-        record["relation"].setdefault(ctype, set()).update(
-            tuple(pair) for pair in pairs)
+def _finish(record):
     # plain sorted lists: records cross process boundaries
     record["covered"] = {
         ctype: sorted(pairs) for ctype, pairs in record["covered"].items()
-    }
-    record["relation"] = {
-        ctype: sorted(pairs) for ctype, pairs in record["relation"].items()
     }
     record["projections"] = sorted(record["projections"])
     return record
@@ -583,16 +576,22 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
             "addresses": addresses, "n_cpus": n_cpus}
     root = ExplorerHarness(cell, channel_bound=channel_bound)
     root_digest = root.digest()
+    root_quiescent = root.is_quiescent()
     visited = {root_digest}
-    quiescent = {root_digest} if root.is_quiescent() else set()
-    frontier = [()]
-    reachable = {}
-    relation = {}
-    projections = set()
-    transitions = 0
+    quiescent = {root_digest} if root_quiescent else set()
+    # declared tables: the same for every state of the cell
+    relation = root.transition_relation()
+    reachable, projections = {}, set()
+    _harvest(reachable, projections, root)
     counterexample = None
+    transitions = 0
     truncated = False
     depth = 0
+    problems = root.state_problems(check)
+    if problems:
+        counterexample = _violation(cell, (), problems[0], check, root)
+        depth = 1  # the root's level was examined
+    frontier = [((), [list(a) for a in root.enabled_actions()], root_quiescent)]
     while frontier and counterexample is None:
         records = _expand_frontier(cell, frontier, workers, check, channel_bound)
         next_frontier = []
@@ -600,14 +599,12 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
             for ctype, pairs in record["covered"].items():
                 reachable.setdefault(ctype, set()).update(
                     tuple(pair) for pair in pairs)
-            for ctype, pairs in record["relation"].items():
-                relation.setdefault(ctype, set()).update(
-                    tuple(pair) for pair in pairs)
             projections.update(tuple(pair) for pair in record["projections"])
             if record["violation"] is not None:
                 counterexample = record["violation"]
                 break
             transitions += len(record["children"])
+            path = tuple(tuple(a) for a in record["path"])
             for child in record["children"]:
                 digest = child["digest"]
                 if digest in visited:
@@ -618,9 +615,8 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                 visited.add(digest)
                 if child["quiescent"]:
                     quiescent.add(digest)
-                next_frontier.append(
-                    tuple(tuple(a) for a in record["path"])
-                    + (tuple(child["action"]),))
+                next_frontier.append((path + (tuple(child["action"]),),
+                                      child["actions"], child["quiescent"]))
         depth += 1
         if progress is not None:
             progress(depth, len(visited), len(next_frontier))
@@ -643,10 +639,11 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
 
 
 def _expand_frontier(cell, frontier, workers, check, channel_bound):
-    paths = [[list(a) for a in path] for path in frontier]
-    if workers <= 1 or len(paths) <= 1:
-        return _expand_paths(cell, paths, check, channel_bound)
-    shards = shard_evenly(paths, workers * 4)
+    nodes = [[[list(a) for a in path], actions, quiescent]
+             for path, actions, quiescent in frontier]
+    if workers <= 1 or len(nodes) <= 1:
+        return _expand_paths(cell, nodes, check, channel_bound)
+    shards = shard_evenly(nodes, workers * 4)
     jobs = [
         CampaignJob(
             runner=_expand_paths,

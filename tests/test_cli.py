@@ -85,6 +85,21 @@ def test_stress_live_plain_on_non_tty(capsys, tmp_path):
     assert payload["fabric"]["jobs_done"] == payload["fabric"]["jobs_total"]
 
 
+def test_explore_reports_states_per_sec(capsys, tmp_path):
+    report = tmp_path / "explore_report.json"
+    assert main(["explore", "--max-states", "20", "--progress",
+                 "-o", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert "states/s" in captured.out  # table column
+    assert "states/s" in captured.err  # --progress lines
+    import json
+
+    cell = json.loads(report.read_text())["cells"][0]
+    assert cell["states"] == 20
+    assert cell["states_per_sec"] > 0
+    assert "elapsed_sec" in cell
+
+
 def test_top_command_prints_fabric_summary(capsys):
     assert main(["top", "--seeds", "1", "--ops", "300", "--workers", "1",
                  "--live-interval", "0.2"]) == 0

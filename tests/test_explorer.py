@@ -17,6 +17,7 @@ from repro.obs.matrix import CellSummary, render_missing
 from repro.obs import CoverageMatrix
 from repro.verify.explorer import (
     ADDRESS_POOL,
+    CHECKS,
     ExplorerHarness,
     authoritative_uncovered,
     cell_config,
@@ -157,15 +158,61 @@ def test_serial_and_sharded_digests_identical():
     assert serial["reachable"] == sharded["reachable"]
 
 
+# -- pinned explorer behaviour ------------------------------------------------
+
+#: ``(states, transitions, quiescent_states, digest)`` of capped cells.
+#: Any change to the canonical text, the symmetry reduction or the BFS
+#: order changes them.
+PINNED_CELLS = {
+    ("mesi", "full_state", 1, 150): (
+        150, 627, 3,
+        "5aca09dfb9007c42c3b83b385b8cdcde76d79c4654865d90040f927487a33f78"),
+    ("mesi", "transactional", 1, 150): (
+        150, 627, 3,
+        "073bec0881879ba45f710b4f5c63f15bc7e2ab6aaaf37cfec903b7e6b682086a"),
+    ("hammer", "full_state", 1, 150): (
+        150, 777, 1,
+        "e1088475a1f9a3535f08e947bd7dbcc8e47726220c47dbc5a9e198001f4184b6"),
+    ("hammer", "transactional", 1, 150): (
+        150, 780, 1,
+        "743ec67a3acceef073e7b8bb7471b2c50106ed18ad0b7f19354b87699583385e"),
+    ("mesif", "full_state", 1, 150): (
+        150, 627, 3,
+        "142805b23761feff7aec1ab34545a8ed1a78648d29c7ff979ddc9ece7d148981"),
+    ("mesif", "transactional", 1, 150): (
+        150, 627, 3,
+        "9e64ec58341cc0f90de8acd8a3887bf6c97940b65c4c33a102978c5e618c4998"),
+    ("mesi", "full_state", 2, 100): (
+        100, 520, 1,
+        "d7636c05a3ff1cd149e38f5f787774cd3c3b6e6ddf79be5c4c7937fcaebdfe00"),
+}
+
+
+@pytest.mark.parametrize("host,variant,addresses,cap", sorted(PINNED_CELLS))
+def test_pinned_cell_counts_and_digest(host, variant, addresses, cap):
+    result = explore_cell(host=host, variant=variant, addresses=addresses,
+                          max_states=cap)
+    assert result["ok"]
+    assert (result["states"], result["transitions"],
+            result["quiescent_states"], result["digest"]) == PINNED_CELLS[
+                (host, variant, addresses, cap)]
+
+
 # -- counterexamples (satellite: replay byte-for-byte) ------------------------
 
 
-def test_counterexample_replays_byte_for_byte():
+@pytest.fixture(scope="module")
+def demo_counterexample():
+    """One ``demo_accel_never_owns`` search shared by the tests below."""
     result = explore_cell(**CELL, max_states=5000,
                           check="demo_accel_never_owns")
-    counterexample = result["counterexample"]
-    assert counterexample is not None
     assert not result["ok"]
+    return result["counterexample"]
+
+
+def test_counterexample_replays_byte_for_byte(demo_counterexample):
+    counterexample = demo_counterexample
+    assert counterexample is not None
     assert "demo_accel_never_owns" in counterexample["reason"]
     replayed = replay_path(counterexample["cell"],
                            [tuple(a) for a in counterexample["path"]])
@@ -174,12 +221,26 @@ def test_counterexample_replays_byte_for_byte():
     assert replayed.state_problems("demo_accel_never_owns")
 
 
-def test_counterexample_path_is_json_round_trippable():
-    result = explore_cell(**CELL, max_states=5000,
-                          check="demo_accel_never_owns")
-    wire = json.loads(json.dumps(result["counterexample"]))
+def test_counterexample_path_is_json_round_trippable(demo_counterexample):
+    wire = json.loads(json.dumps(demo_counterexample))
     replayed = replay_path(wire["cell"], [tuple(a) for a in wire["path"]])
     assert replayed.digest() == wire["digest"]
+
+
+def test_counterexample_at_reset_state(monkeypatch):
+    """A check failing at reset is caught on the root, with an empty path."""
+    monkeypatch.setitem(CHECKS, "always_fails",
+                        lambda harness: "flagged every state")
+    result = explore_cell(**CELL, max_states=50, check="always_fails")
+    counterexample = result["counterexample"]
+    assert not result["ok"]
+    assert result["states"] == 1 and result["transitions"] == 0
+    assert counterexample["path"] == []
+    assert "always_fails" in counterexample["reason"]
+    replayed = replay_path(counterexample["cell"], counterexample["path"])
+    assert replayed.canonical() == counterexample["canonical"]
+    assert replayed.digest() == counterexample["digest"]
+    assert replayed.digest() == ExplorerHarness(CELL).digest()
 
 
 # -- differential vs the abstract model (satellite) ---------------------------
@@ -283,32 +344,42 @@ def test_shard_evenly():
 
 # -- exhaustive proofs (explore-full only) ------------------------------------
 
+#: Visited-set digest of the complete mesi/full_state 1-address cell.
+FULL_CELL_DIGEST = (
+    "b283923c429195703a9f2b2cc01e075e43c7c5389c7878bd14170233eb282bed")
+
+
+@pytest.fixture(scope="module")
+def full_cell():
+    """The acceptance cell enumerated once, serially, for the tests below."""
+    return explore_cell(**CELL, max_states=100_000)
+
 
 @pytest.mark.explore_full
-def test_full_mesi_full_state_cell_proved():
+def test_full_mesi_full_state_cell_proved(full_cell):
     """The acceptance cell: complete enumeration, zero violations."""
-    result = explore_cell(**CELL, max_states=100_000)
-    assert result["complete"]
-    assert result["ok"]
-    assert result["quiescent_states"] >= 2
-    assert result["states"] > 10_000
+    assert full_cell["complete"]
+    assert full_cell["ok"]
+    assert full_cell["states"] == 20_876
+    assert full_cell["transitions"] == 70_348
+    assert full_cell["quiescent_states"] == 17
+    assert full_cell["depth"] == 45
+    assert full_cell["digest"] == FULL_CELL_DIGEST
 
 
 @pytest.mark.explore_full
-def test_full_cell_sharded_digest_matches_serial():
-    serial = explore_cell(**CELL, max_states=100_000)
+def test_full_cell_sharded_digest_matches_serial(full_cell):
     sharded = explore_cell(**CELL, max_states=100_000, workers=4)
-    assert serial["complete"] and sharded["complete"]
-    assert serial["digest"] == sharded["digest"]
+    assert sharded["complete"]
+    assert full_cell["digest"] == sharded["digest"]
 
 
 @pytest.mark.explore_full
-def test_full_cell_stress_coverage_is_reachable_subset():
-    result = explore_cell(**CELL, max_states=100_000)
-    assert result["complete"]
+def test_full_cell_stress_coverage_is_reachable_subset(full_cell):
+    assert full_cell["complete"]
     for seed in range(3):
         covered = run_cell_stress(CELL, seed=seed, ops=150)
-        assert cross_check_coverage(result, covered) == []
+        assert cross_check_coverage(full_cell, covered) == []
 
 
 @pytest.mark.explore_full
