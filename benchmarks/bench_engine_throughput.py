@@ -61,7 +61,6 @@ def test_engine_throughput(once):
                 for ctype, row in dispatch["controllers"].items()
             ],
             title=(f"dispatch breakdown ({dispatch['host']} stress, "
-                   f"{dispatch['dispatch_mode']} mode, "
                    f"{dispatch['events_per_sec']:,.0f} events/sec)"),
         )
     )
@@ -74,7 +73,6 @@ def test_engine_throughput(once):
     assert report["events_per_sec"] > 0
     campaign = report["campaign"]
     assert all(r["failures"] == 0 for r in campaign["rows"]), campaign["rows"]
-    assert dispatch["dispatch_mode"] == "compiled"
     assert dispatch["fires_total"] > 0
     # every fire went through a controller with a non-empty compiled table
     # or an XG/method-driven controller (entries == 0 is legal there)

@@ -16,7 +16,7 @@ Commands:
   fabric with per-worker throughput/heartbeats, then the fabric summary;
 * ``bench``       — engine events/sec microbenchmark + campaign wall-clock;
 * ``golden``      — golden-run digests: verify against the committed file,
-  prove compiled/legacy dispatch equivalence, or refresh with ``--update``;
+  or refresh with ``--update``;
 * ``verify``      — exhaustive single-address interface verification;
 * ``explore``     — concrete-state reachability exploration: enumerate all
   interleavings of small (host x XG-variant) cells on the real simulator,
@@ -234,7 +234,6 @@ def _cmd_bench(args):
                     for ctype, row in dispatch["controllers"].items()
                 ],
                 title=(f"dispatch breakdown ({dispatch['host']} stress, "
-                       f"{dispatch['dispatch_mode']} mode, "
                        f"{dispatch['events_per_sec']:,.0f} events/sec)"),
             )
         )
@@ -287,12 +286,7 @@ def _cmd_bench(args):
 
 
 def _cmd_golden(args):
-    from repro.testing.golden import (
-        equivalence_matrix,
-        load_pinned,
-        pinned_digests,
-        write_pinned,
-    )
+    from repro.testing.golden import load_pinned, pinned_digests, write_pinned
 
     if args.update:
         payload = write_pinned(args.path, seed=args.seed, ops=args.ops)
@@ -301,23 +295,6 @@ def _cmd_golden(args):
             print(f"  {label}: {digest['transitions_count']} transitions, "
                   f"{digest['transitions'][:16]}…")
         return 0
-    if args.matrix:
-        rows = equivalence_matrix(args.scenario, seed=args.seed, ops=args.ops)
-        bad = [label for label, row in rows.items() if not row["identical"]]
-        print(
-            format_table(
-                ["config", "transitions", "compiled == legacy"],
-                [
-                    (label, row["compiled"]["transitions_count"],
-                     "OK" if row["identical"] else "MISMATCH")
-                    for label, row in sorted(rows.items())
-                ],
-                title=f"dispatch equivalence matrix ({args.scenario})",
-            )
-        )
-        if bad:
-            print(f"\nMISMATCH in: {', '.join(bad)}", file=sys.stderr)
-        return 1 if bad else 0
     pinned = load_pinned(args.path)
     fresh = pinned_digests(seed=pinned["seed"], ops=pinned["ops"])
     bad = []
@@ -926,19 +903,14 @@ def build_parser():
     bench.set_defaults(fn=_cmd_bench)
 
     golden = sub.add_parser(
-        "golden", help="golden-run digests: verify, prove equivalence, or refresh"
+        "golden", help="golden-run digests: verify or refresh"
     )
     golden.add_argument("--update", action="store_true",
                         help="regenerate the committed digest file from seed runs")
-    golden.add_argument("--matrix", action="store_true",
-                        help="run the compiled-vs-legacy equivalence matrix "
-                             "instead of checking the committed digests")
-    golden.add_argument("--scenario", default="stress",
-                        choices=["stress", "fuzz", "chaos"],
-                        help="scenario for --matrix runs")
-    golden.add_argument("--seed", type=int, default=0)
+    golden.add_argument("--seed", type=int, default=0,
+                        help="seed per run (--update)")
     golden.add_argument("--ops", type=int, default=400,
-                        help="CPU ops per run (matrix/update)")
+                        help="CPU ops per run (--update)")
     golden.add_argument("--path", default="tests/golden/digests.json",
                         metavar="PATH", help="committed digest file")
     golden.set_defaults(fn=_cmd_golden)

@@ -13,7 +13,6 @@ Semantics mirror gem5 Ruby's generated controllers:
 """
 
 from collections import defaultdict, deque
-from contextlib import contextmanager
 
 from repro.sim.component import Component
 
@@ -23,25 +22,6 @@ RETRY = "retry"
 
 #: shared empty row for compiled-dispatch misses (never mutated)
 _NO_ROW = {}
-
-
-@contextmanager
-def dispatch_mode(mode):
-    """Build controllers under a specific dispatch mode.
-
-    ``"compiled"`` (the default) installs the flattened per-instance
-    fast path; ``"legacy"`` keeps the original table-lookup ``fire``
-    method. The golden-run equivalence suite constructs one system under
-    each mode and asserts their digests are identical.
-    """
-    if mode not in ("compiled", "legacy"):
-        raise ValueError(f"unknown dispatch mode {mode!r}")
-    previous = CoherenceController.DISPATCH_MODE
-    CoherenceController.DISPATCH_MODE = mode
-    try:
-        yield
-    finally:
-        CoherenceController.DISPATCH_MODE = previous
 
 
 class ProtocolError(RuntimeError):
@@ -75,17 +55,13 @@ class CoherenceController(Component):
         ``_build_transitions``;
       * implement ``handle_message(port, msg) -> CONSUMED|STALL|RETRY``,
         usually by classifying the message into an event and calling
-        :meth:`fire`.
+        ``self.fire(state, event, msg)``. ``fire`` runs the declared
+        handler, records coverage for anything but a stall, and returns
+        the handler's outcome (CONSUMED unless it says otherwise); an
+        undeclared pair raises :class:`ProtocolError`.
     """
 
     CONTROLLER_TYPE = "generic"
-
-    #: how :meth:`fire` dispatches: ``"compiled"`` flattens the transition
-    #: table into a per-instance closure at construction; ``"legacy"``
-    #: keeps the original dict-of-tuples lookup. Flip with
-    #: :func:`dispatch_mode`; both paths are step-for-step identical
-    #: (proven by :mod:`repro.testing.golden`).
-    DISPATCH_MODE = "compiled"
 
     #: ticks of processing time per consumed message (0 = infinitely fast,
     #: the default). When set, the controller handles one message per
@@ -144,34 +120,8 @@ class CoherenceController(Component):
 
     # -- transition machinery ------------------------------------------------
 
-    def fire(self, state, event, msg):
-        """Run the transition for (state, event); record coverage.
-
-        Returns the handler's outcome (CONSUMED unless it says otherwise).
-
-        This is the legacy reference path. Under the default
-        ``DISPATCH_MODE = "compiled"`` it is shadowed by a per-instance
-        closure over the flattened table (see :meth:`recompile_dispatch`);
-        the two are behaviorally identical.
-        """
-        handler = self.transitions.get((state, event))
-        if handler is None:
-            raise ProtocolError(self, state, event, msg)
-        outcome = handler(msg)
-        if outcome is None:
-            outcome = CONSUMED
-        if outcome is not STALL:
-            # Stalls are not transitions; only executed work counts.
-            self.coverage[(state, event)] += 1
-            obs = self.sim.obs
-            if obs is not None:
-                obs.record_transition(
-                    self.sim.tick, self.name, self.CONTROLLER_TYPE, state, event
-                )
-        return outcome
-
     def recompile_dispatch(self):
-        """(Re)flatten ``self.transitions`` into the compiled fast path.
+        """(Re)flatten ``self.transitions`` and install ``self.fire`` over it.
 
         Called automatically after ``_build_transitions``; call again after
         mutating ``self.transitions`` at runtime, or the compiled table
@@ -187,10 +137,7 @@ class CoherenceController(Component):
             # instead of allocating a fresh tuple per fired transition
             row[event] = (handler, key)
         self._dispatch = table
-        if self.DISPATCH_MODE == "compiled":
-            self.fire = self._compile_fire()
-        else:
-            self.__dict__.pop("fire", None)
+        self.fire = self._compile_fire()
 
     def _compile_fire(self):
         """Build the monomorphic ``fire`` closure over pre-resolved state.

@@ -413,14 +413,10 @@ def dispatch_breakdown(host=None, seed=0, ops=1200):
     Attributes the protocol-path work to controller types: how many
     compiled table entries each type carries, how many transitions fired
     through the dispatch table, and how often messages stalled (the
-    indexed stall-queue path). Run under both dispatch modes (see
-    :func:`repro.coherence.controller.dispatch_mode`) the ``fires`` and
-    ``stalls`` columns are identical — only ``seconds`` moves, which is
-    what makes the events/sec win attributable to dispatch itself.
+    indexed stall-queue path).
     """
     from repro.host.config import AccelOrg, HostProtocol, SystemConfig
     from repro.host.system import build_system
-    from repro.coherence.controller import CoherenceController
     from repro.testing.random_tester import RandomTester
 
     config = SystemConfig(
@@ -464,7 +460,6 @@ def dispatch_breakdown(host=None, seed=0, ops=1200):
     total_fires = sum(r["fires"] for r in by_type.values())
     return {
         "host": config.host.name.lower(),
-        "dispatch_mode": CoherenceController.DISPATCH_MODE,
         "seed": seed,
         "ops": ops,
         "events": system.sim._events_fired,

@@ -169,6 +169,7 @@ class Network:
             if queueing > 0:
                 self.stats.inc("queueing_ticks", queueing)
             arrival += queueing
+        duplicate = False
         plan = self.fault_plan
         if plan is not None:
             decision = plan.decide(self.name, msg, now)
@@ -198,121 +199,93 @@ class Network:
                     self.stats.inc("fault.duplicated")
                     if obs is not None:
                         obs.record_fault(now, self.name, "duplicate", msg)
-                    arrival = self._deliver_one(dest, buf, msg, arrival)
-                    # Link-layer replay: same uid, own payload copy,
-                    # trailing the original by at least one tick.
-                    self._deliver_one(dest, buf, msg.clone(), arrival + 1, note="dup")
-                    return arrival
-        # ---- delivery, hand-inlined (see _deliver_one for the readable
-        # version; the two must stay behaviorally identical). One message
-        # costs zero extra Python frames beyond schedule_cb from here on.
+                    duplicate = True
+        # ---- delivery, hand-inlined: one message costs zero extra Python
+        # frames beyond schedule_cb from here on. A duplicated message runs
+        # this tail twice, for the original and then for its clone.
         # try/except counter bumps lean on 3.11's zero-cost exceptions:
         # the KeyError path runs once per counter name, ever.
-        if self.ordered:
-            lane = (msg.sender, msg.dest)
-            last = self._last_arrival
-            try:
-                previous = last[lane]
-                if arrival <= previous:
-                    arrival = previous + 1
-            except KeyError:
-                pass
-            last[lane] = arrival
-        counters = self._counters
-        if counters is not None:
-            try:
-                counters["messages"] += 1
-            except KeyError:
-                counters["messages"] = 1
-            mtype = msg.mtype
-            key = self._mtype_keys.get(mtype)
-            if key is None:
-                key = f"msg.{getattr(mtype, 'name', mtype)}"
-                self._mtype_keys[mtype] = key
-            try:
-                counters[key] += 1
-            except KeyError:
-                counters[key] = 1
-            if msg.data is not None:
+        note = ""
+        while True:
+            if self.ordered:
+                # One serial lane per (sender, dest) pair across ALL ports:
+                # the paper's ordered accel link must keep a Put ordered
+                # ahead of the InvAck that follows it even though they
+                # arrive on different virtual channels. Strictly increasing
+                # arrivals so the receiver's port priorities cannot reorder
+                # same-tick pairs.
+                lane = (msg.sender, msg.dest)
+                last = self._last_arrival
                 try:
-                    counters["data_messages"] += 1
+                    previous = last[lane]
+                    if arrival <= previous:
+                        arrival = previous + 1
                 except KeyError:
-                    counters["data_messages"] = 1
-        if sim.trace is not None:
-            sim.record_trace(self.name, msg, note="")
-        # inlined MessageBuffer.enqueue (append fast path; arrivals on a
-        # lane are non-decreasing, so out-of-order insort is the rare case)
-        seq = buf._seq + 1
-        buf._seq = seq
-        entries = buf._entries
-        if not entries or entries[-1][0] <= arrival:
-            entries.append((arrival, seq, msg))
-        else:
-            insort(entries, (arrival, seq, msg), lo=buf._head)
-        # inlined Component.request_wakeup with same-tick coalescing:
-        # latency >= 1 guarantees arrival > now, so no clamp is needed,
-        # and an equal-or-earlier pending wakeup absorbs this delivery.
-        pending = dest._wakeup_tick
-        if pending is None:
-            dest._wakeup_tick = arrival
-            dest._wakeup_token = self._events.schedule_cb(arrival, dest._wakeup_cb)
-        elif pending > arrival:
-            events = self._events
-            events.cancel_token(dest._wakeup_token)
-            dest._wakeup_tick = arrival
-            dest._wakeup_token = events.schedule_cb(arrival, dest._wakeup_cb)
-        lineage = sim.lineage
-        if lineage is not None:
-            # `delay + latency` is the modeled wire time; the walk books
-            # the rest of arrival-send (bandwidth queueing, ordered-lane
-            # clamp) as queue_wait. Records live on the tracker, never on
-            # the pooled msg.
-            lineage.record_send(msg, now, arrival, delay + latency)
-        return arrival
-
-    def _deliver_one(self, dest, buf, msg, arrival, note=""):
-        # Readable reference copy of the delivery tail hand-inlined at the
-        # bottom of send(); only fault paths (duplicate delivery) and
-        # subclasses route through here. Keep the two in sync.
-        if self.ordered:
-            # One serial lane per (sender, dest) pair across ALL ports:
-            # the paper's ordered accel link must keep a Put ordered ahead
-            # of the InvAck that follows it even though they arrive on
-            # different virtual channels. Strictly increasing arrivals so
-            # the receiver's port priorities cannot reorder same-tick pairs.
-            lane = (msg.sender, msg.dest)
-            previous = self._last_arrival.get(lane, 0)
-            if arrival <= previous:
-                arrival = previous + 1
-            self._last_arrival[lane] = arrival
-        counters = self._counters
-        if counters is not None:
-            counters["messages"] = counters.get("messages", 0) + 1
-            mtype = msg.mtype
-            key = self._mtype_keys.get(mtype)
-            if key is None:
-                key = f"msg.{getattr(mtype, 'name', mtype)}"
-                self._mtype_keys[mtype] = key
-            counters[key] = counters.get(key, 0) + 1
-            if msg.data is not None:
-                counters["data_messages"] = counters.get("data_messages", 0) + 1
-        sim = self.sim
-        if sim.trace is not None:
-            sim.record_trace(self.name, msg, note=note)
-        # inlined Component.deliver: the buffer came from the route cache.
-        # Same-tick deliveries coalesce onto one pending wakeup — only a
-        # strictly earlier arrival needs the full request_wakeup path.
-        buf.enqueue(arrival, msg)
-        pending = dest._wakeup_tick
-        if pending is None or pending > arrival:
-            dest.request_wakeup(arrival)
-        lineage = sim.lineage
-        if lineage is not None:
-            # Fault-path deliveries (duplicate replays) have no separate
-            # wire figure; attribute the whole in-flight window to wire.
-            lineage.record_send(msg, msg.send_tick, arrival,
-                                arrival - msg.send_tick)
-        return arrival
+                    pass
+                last[lane] = arrival
+            counters = self._counters
+            if counters is not None:
+                try:
+                    counters["messages"] += 1
+                except KeyError:
+                    counters["messages"] = 1
+                mtype = msg.mtype
+                key = self._mtype_keys.get(mtype)
+                if key is None:
+                    key = f"msg.{getattr(mtype, 'name', mtype)}"
+                    self._mtype_keys[mtype] = key
+                try:
+                    counters[key] += 1
+                except KeyError:
+                    counters[key] = 1
+                if msg.data is not None:
+                    try:
+                        counters["data_messages"] += 1
+                    except KeyError:
+                        counters["data_messages"] = 1
+            if sim.trace is not None:
+                sim.record_trace(self.name, msg, note=note)
+            # inlined MessageBuffer.enqueue (append fast path; arrivals on
+            # a lane are non-decreasing, so out-of-order insort is rare)
+            seq = buf._seq + 1
+            buf._seq = seq
+            entries = buf._entries
+            if not entries or entries[-1][0] <= arrival:
+                entries.append((arrival, seq, msg))
+            else:
+                insort(entries, (arrival, seq, msg), lo=buf._head)
+            # inlined Component.request_wakeup with same-tick coalescing:
+            # latency >= 1 guarantees arrival > now, so no clamp is needed,
+            # and an equal-or-earlier pending wakeup absorbs this delivery.
+            pending = dest._wakeup_tick
+            if pending is None:
+                dest._wakeup_tick = arrival
+                dest._wakeup_token = self._events.schedule_cb(arrival, dest._wakeup_cb)
+            elif pending > arrival:
+                events = self._events
+                events.cancel_token(dest._wakeup_token)
+                dest._wakeup_tick = arrival
+                dest._wakeup_token = events.schedule_cb(arrival, dest._wakeup_cb)
+            lineage = sim.lineage
+            if lineage is not None:
+                # `delay + latency` is the modeled wire time; the walk
+                # books the rest of arrival-send (bandwidth queueing,
+                # ordered-lane clamp) as queue_wait. Duplicated deliveries
+                # have no separate wire figure and book the whole
+                # in-flight window as wire. Records live on the tracker,
+                # never on the pooled msg.
+                wire = arrival - now if duplicate else delay + latency
+                lineage.record_send(msg, now, arrival, wire)
+            if not duplicate:
+                return arrival
+            if note:
+                return original_arrival
+            # Link-layer replay: same uid, own payload copy, trailing the
+            # original by at least one tick.
+            original_arrival = arrival
+            msg = msg.clone()
+            arrival += 1
+            note = "dup"
 
     def broadcast(self, msg_factory, dests, port, delay=0):
         """Send one message per destination; ``msg_factory(dest)`` builds it.

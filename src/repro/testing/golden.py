@@ -1,9 +1,6 @@
-"""Golden-run equivalence harness for the compiled dispatch fast path.
+"""Golden-run digests: seeded runs pinned byte-for-byte.
 
-The compiled transition dispatch (:mod:`repro.coherence.controller`)
-rewrites the semantics-critical inner loop of every protocol controller,
-so its proof obligation is behavioral *identity*, not plausibility. This
-module digests seeded runs into three sha256 fingerprints:
+This module digests seeded runs into three sha256 fingerprints:
 
 * **transitions** — the full per-controller (tick, component, type,
   state, event) sequence recorded by :class:`~repro.obs.Telemetry`,
@@ -13,20 +10,16 @@ module digests seeded runs into three sha256 fingerprints:
 * **stats** — the canonical-JSON per-component stats report.
 
 Two runs with equal digest dicts took the same steps, landed the same
-bytes, and counted the same events. :func:`compare_modes` runs one
-scenario twice — once under ``DISPATCH_MODE="compiled"``, once under
-``"legacy"`` (the pre-refactor reference path, kept verbatim) — and the
-equivalence suite asserts the digests match across all hosts ×
-accelerator organizations. Committed digests in ``tests/golden/``
-additionally pin the sequences against *future* perturbation; refresh
-them deliberately with ``python -m repro golden --update``.
+bytes, and counted the same events. Committed digests in
+``tests/golden/`` pin every :data:`PINNED_CONFIGS` case against
+perturbation; refresh them deliberately with
+``python -m repro golden --update``.
 """
 
 import hashlib
 import json
 
 from repro.accel.rogue import RogueAccel
-from repro.coherence.controller import dispatch_mode
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
 from repro.obs import Telemetry
@@ -37,13 +30,24 @@ from repro.xg.interface import XGVariant
 #: Scenario names accepted by :func:`golden_run`.
 SCENARIOS = ("stress", "fuzz", "chaos")
 
-#: The representative (host, org) configs whose digests are committed in
-#: ``tests/golden/digests.json`` (one per host protocol, two orgs).
-PINNED_CONFIGS = (
-    ("stress", HostProtocol.MESI, AccelOrg.XG),
-    ("stress", HostProtocol.HAMMER, AccelOrg.XG),
-    ("stress", HostProtocol.MESIF, AccelOrg.HOST_SIDE),
+#: The (scenario, host, org, XG variant) cases whose digests are committed
+#: in ``tests/golden/digests.json``: stress over every host x org, fuzz over
+#: every host, and chaos on MESI under both XG variants.
+PINNED_CONFIGS = tuple(
+    [("stress", host, org, XGVariant.FULL_STATE)
+     for host in HostProtocol for org in AccelOrg]
+    + [("fuzz", host, AccelOrg.XG, XGVariant.FULL_STATE) for host in HostProtocol]
+    + [("chaos", HostProtocol.MESI, AccelOrg.XG, variant) for variant in XGVariant]
 )
+
+
+def pinned_label(scenario, host, org, xg_variant):
+    """Digest-file key of a pinned case; the default FULL_STATE variant
+    is left out of the label."""
+    label = f"{scenario}/{host.name.lower()}/{org.name.lower()}"
+    if xg_variant is not XGVariant.FULL_STATE:
+        label += f"/{xg_variant.name.lower()}"
+    return label
 
 
 def _digest_lines(lines):
@@ -167,7 +171,7 @@ def _run_chaos(host, xg_variant, seed, ops):
 
 def golden_run(scenario, host, org=AccelOrg.XG,
                xg_variant=XGVariant.FULL_STATE, seed=0, ops=400):
-    """One seeded scenario run under the *current* dispatch mode.
+    """One seeded scenario run.
 
     Returns the digest dict (see :func:`digest_system`). ``fuzz`` and
     ``chaos`` scenarios imply ``org=XG`` — they replace the accelerator
@@ -200,65 +204,16 @@ def _assert_no_rogue(system):
         )
 
 
-# -- compiled-vs-legacy equivalence -------------------------------------------
-
-
-def compare_modes(scenario, host, org=AccelOrg.XG,
-                  xg_variant=XGVariant.FULL_STATE, seed=0, ops=400):
-    """Run one scenario under both dispatch modes; return their digests.
-
-    The pair being equal is the refactor's headline claim: the compiled
-    fast path is step-for-step identical to the legacy reference path.
-    """
-    with dispatch_mode("compiled"):
-        compiled = golden_run(scenario, host, org, xg_variant, seed, ops)
-    with dispatch_mode("legacy"):
-        legacy = golden_run(scenario, host, org, xg_variant, seed, ops)
-    return compiled, legacy
-
-
-def equivalence_matrix(scenario="stress", seed=0, ops=400):
-    """Compiled-vs-legacy comparison across all hosts x accelerator orgs.
-
-    Returns ``{label: {"compiled": .., "legacy": .., "identical": bool}}``.
-    For fuzz/chaos scenarios the org axis collapses to XG (both variants
-    instead).
-    """
-    rows = {}
-    if scenario == "stress":
-        cases = [
-            (host, org, XGVariant.FULL_STATE)
-            for host in HostProtocol
-            for org in AccelOrg
-        ]
-    else:
-        cases = [
-            (host, AccelOrg.XG, variant)
-            for host in HostProtocol
-            for variant in XGVariant
-        ]
-    for host, org, variant in cases:
-        label = f"{host.name.lower()}/{org.name.lower()}/{variant.name.lower()}"
-        compiled, legacy = compare_modes(
-            scenario, host, org, xg_variant=variant, seed=seed, ops=ops
-        )
-        rows[label] = {
-            "compiled": compiled,
-            "legacy": legacy,
-            "identical": compiled == legacy,
-        }
-    return rows
-
-
 # -- committed pinned digests -------------------------------------------------
 
 
 def pinned_digests(seed=0, ops=400):
-    """Digest dict for the representative configs committed in CI."""
+    """Digest dict for every :data:`PINNED_CONFIGS` case."""
     pinned = {}
-    for scenario, host, org in PINNED_CONFIGS:
-        label = f"{scenario}/{host.name.lower()}/{org.name.lower()}"
-        pinned[label] = golden_run(scenario, host, org, seed=seed, ops=ops)
+    for scenario, host, org, variant in PINNED_CONFIGS:
+        pinned[pinned_label(scenario, host, org, variant)] = golden_run(
+            scenario, host, org, variant, seed=seed, ops=ops
+        )
     return {
         "note": (
             "Seed-run golden digests. A mismatch means a change perturbed "

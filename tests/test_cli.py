@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
 
 
 def test_demo_runs_clean(capsys):
@@ -115,6 +120,26 @@ def test_fuzz_live_frames_single_run(capsys):
     out = capsys.readouterr().out
     assert "host_safe: True" in out
     assert "fabric: jobs 1/1" in out
+
+
+def test_golden_verifies_committed_digests(capsys, tmp_path):
+    assert main(["golden", "--path", GOLDEN_PATH]) == 0
+    assert "all golden digests match" in capsys.readouterr().out
+
+    with open(GOLDEN_PATH) as fh:
+        payload = json.load(fh)
+    label = "stress/mesi/xg"
+    payload["digests"][label]["stats"] = "0" * 64
+    altered = tmp_path / "digests.json"
+    altered.write_text(json.dumps(payload))
+    assert main(["golden", "--path", str(altered)]) == 1
+    assert f"{label}: CHANGED" in capsys.readouterr().out
+
+
+def test_golden_rejects_matrix_flag():
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["golden", "--matrix"])
+    assert info.value.code == 2
 
 
 def test_parser_requires_command():

@@ -9,6 +9,7 @@ injection is counted).
 import pytest
 
 from repro.memory.datablock import DataBlock
+from repro.obs.lineage import LineageTracker
 from repro.sim.faults import (
     CORRUPT,
     DELAY,
@@ -150,6 +151,30 @@ def test_network_duplicate_delivers_twice_same_uid():
     uids = [msg.uid for _t, _p, msg in dst.received]
     assert uids == [sent.uid, sent.uid]
     assert net.stats.get("fault.duplicated") == 1
+
+    # Ordered lane with a clamp: the first message (sender delay 10) lands
+    # at 13 and its replay at 14, so the second message's natural arrival
+    # (3) is clamped to 15 and its replay trails at 16.
+    sim, net, src, dst = _net_pair(single_link_plan({DUPLICATE: 1.0}))
+    sim.lineage = LineageTracker()
+    first = Message(AccelMsg.GetS, ADDR, sender="src", dest="dst")
+    second = Message(AccelMsg.GetM, ADDR + 64, sender="src", dest="dst")
+    assert net.send(first, "accel_request", delay=10) == 13
+    assert net.send(second, "accel_request") == 15
+    sim.run()
+    assert [(t, m.uid) for t, _p, m in dst.received] == [
+        (13, first.uid), (14, first.uid), (15, second.uid), (16, second.uid),
+    ]
+    assert [entry[-1] for entry in sim.trace] == ["", "dup", "", "dup"]
+    assert net.stats.get("messages") == 4
+    assert net.stats.get("fault.duplicated") == 2
+    # Duplicate-path deliveries book the whole send-to-arrival window as
+    # wire, lane clamp included.
+    records = sim.lineage.records.values()
+    assert [(r.uid, r.send_tick, r.arrival, r.wire) for r in records] == [
+        (first.uid, 0, 13, 13), (first.uid, 0, 14, 14),
+        (second.uid, 0, 15, 15), (second.uid, 0, 16, 16),
+    ]
 
 
 def test_network_delay_pushes_arrival_out():

@@ -1,16 +1,15 @@
-"""Golden-run equivalence suite + committed digest regression gate.
+"""Committed golden digests: the behaviour contract of seeded runs.
 
-Two layers of protection for the compiled dispatch fast path:
-
-1. **Equivalence** — every scenario digest (transition sequence, final
-   memory image, stats) must be identical under ``compiled`` and
-   ``legacy`` dispatch, across all hosts x accelerator organizations.
-   This is the tentpole's proof obligation.
-2. **Pinned digests** — seed-run digests for three representative
-   configs are committed in ``tests/golden/digests.json``. Any change
-   that perturbs a transition sequence fails here until the digests are
-   deliberately refreshed (``python -m repro golden --update``) and the
-   behavior change is explained in the PR.
+Seed-run digests (transition sequence, final memory image, stats) for
+every :data:`~repro.testing.golden.PINNED_CONFIGS` case are committed in
+``tests/golden/digests.json``: stress over all hosts x accelerator
+organizations, fuzz over all hosts, and chaos on MESI under both XG
+variants. The entries were generated while the compiled transition
+dispatch was still proven step-for-step identical to the interpreted
+table lookup it replaced, so they carry that proof forward. Any change
+that perturbs a transition sequence fails here until the digests are
+deliberately refreshed (``python -m repro golden --update``) and the
+behaviour change is explained in the PR.
 """
 
 import os
@@ -20,9 +19,9 @@ import pytest
 from repro.host.config import AccelOrg, HostProtocol
 from repro.testing.golden import (
     PINNED_CONFIGS,
-    compare_modes,
     golden_run,
     load_pinned,
+    pinned_label,
 )
 from repro.xg.interface import XGVariant
 
@@ -31,58 +30,74 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
 STRESS_CASES = [(host, org) for host in HostProtocol for org in AccelOrg]
 
 
+@pytest.fixture(scope="module")
+def pinned():
+    return load_pinned(GOLDEN_PATH)
+
+
+@pytest.fixture(scope="module")
+def fresh_run(pinned):
+    """Digest of one pinned case at the file's seed and ops; each case
+    runs at most once per module."""
+    runs = {}
+
+    def run(scenario, host, org=AccelOrg.XG, variant=XGVariant.FULL_STATE):
+        label = pinned_label(scenario, host, org, variant)
+        if label not in runs:
+            runs[label] = golden_run(
+                scenario, host, org, variant,
+                seed=pinned["seed"], ops=pinned["ops"],
+            )
+        return label, runs[label]
+
+    return run
+
+
+def _check_pinned(pinned, label, fresh):
+    assert fresh == pinned["digests"][label]
+    # A trivially-empty run would vacuously pass; demand real traffic.
+    assert fresh["transitions_count"] > 100
+
+
 @pytest.mark.parametrize(
     "host,org", STRESS_CASES,
     ids=[f"{h.name.lower()}-{o.name.lower()}" for h, o in STRESS_CASES],
 )
-def test_stress_equivalence_all_hosts_all_orgs(host, org):
-    compiled, legacy = compare_modes("stress", host, org, ops=150)
-    assert compiled == legacy
-    # A trivially-empty run would vacuously pass; demand real traffic.
-    assert compiled["transitions_count"] > 100
+def test_stress_equivalence_all_hosts_all_orgs(pinned, fresh_run, host, org):
+    _check_pinned(pinned, *fresh_run("stress", host, org))
 
 
 @pytest.mark.parametrize("host", list(HostProtocol), ids=lambda h: h.name.lower())
-def test_fuzz_equivalence(host):
+def test_fuzz_equivalence(pinned, fresh_run, host):
     """Adversarial traffic exercises the error/guard paths too."""
-    compiled, legacy = compare_modes("fuzz", host, ops=150)
-    assert compiled == legacy
-    assert compiled["transitions_count"] > 100
+    _check_pinned(pinned, *fresh_run("fuzz", host))
 
 
 @pytest.mark.parametrize(
     "variant", list(XGVariant), ids=lambda v: v.name.lower()
 )
-def test_chaos_equivalence_both_variants(variant):
+def test_chaos_equivalence_both_variants(pinned, fresh_run, variant):
     """Link faults + flooding: the harshest message orderings we have."""
-    compiled, legacy = compare_modes(
-        "chaos", HostProtocol.MESI, xg_variant=variant, ops=120
+    _check_pinned(
+        pinned, *fresh_run("chaos", HostProtocol.MESI, variant=variant)
     )
-    assert compiled == legacy
-    assert compiled["transitions_count"] > 100
 
 
-def test_equivalence_covers_distinct_behaviors():
+def test_equivalence_covers_distinct_behaviors(fresh_run):
     """Different configs must produce different digests — otherwise the
-    equivalence assertions above could be comparing a constant."""
-    a = golden_run("stress", HostProtocol.MESI, AccelOrg.XG, ops=150)
-    b = golden_run("stress", HostProtocol.HAMMER, AccelOrg.XG, ops=150)
+    pinned comparisons could be comparing a constant."""
+    _, a = fresh_run("stress", HostProtocol.MESI, AccelOrg.XG)
+    _, b = fresh_run("stress", HostProtocol.HAMMER, AccelOrg.XG)
     assert a["transitions"] != b["transitions"]
     assert a["stats"] != b["stats"]
 
 
-# -- committed digest regression ---------------------------------------------
+# -- committed digest file ----------------------------------------------------
 
 
-def _pinned():
-    return load_pinned(GOLDEN_PATH)
-
-
-def test_pinned_digest_file_shape():
-    pinned = _pinned()
+def test_pinned_digest_file_shape(pinned):
     assert set(pinned["digests"]) == {
-        f"{scenario}/{host.name.lower()}/{org.name.lower()}"
-        for scenario, host, org in PINNED_CONFIGS
+        pinned_label(*case) for case in PINNED_CONFIGS
     }
     for digest in pinned["digests"].values():
         assert set(digest) >= {
@@ -91,17 +106,13 @@ def test_pinned_digest_file_shape():
 
 
 @pytest.mark.parametrize(
-    "scenario,host,org", PINNED_CONFIGS,
-    ids=[f"{s}-{h.name.lower()}-{o.name.lower()}" for s, h, o in PINNED_CONFIGS],
+    "scenario,host,org,variant", PINNED_CONFIGS,
+    ids=[pinned_label(*case).replace("/", "-") for case in PINNED_CONFIGS],
 )
-def test_pinned_digests_unchanged(scenario, host, org):
+def test_pinned_digests_unchanged(pinned, fresh_run, scenario, host, org, variant):
     """Seed-run behavior is pinned. If this fails, a change perturbed the
     transition sequences / memory image / stats of a golden run: either
     fix the regression, or — if the change is deliberate — refresh with
     `python -m repro golden --update` and say so in the PR."""
-    pinned = _pinned()
-    label = f"{scenario}/{host.name.lower()}/{org.name.lower()}"
-    fresh = golden_run(
-        scenario, host, org, seed=pinned["seed"], ops=pinned["ops"]
-    )
+    label, fresh = fresh_run(scenario, host, org, variant)
     assert fresh == pinned["digests"][label]
