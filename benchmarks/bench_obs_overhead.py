@@ -2,12 +2,11 @@
 
 The observability layer's contract is *near-zero cost when off*: with no
 ``Telemetry`` hub attached every hook is one attribute load plus an
-identity check, and with ``metrics=False`` the stat sinks are shared
-no-ops. This bench measures all three modes on the full protocol stack
-(MESI L1/L2 + Crossing Guard + accelerator caches, where the hooks
-actually sit) plus the synthetic engine mix that ``BENCH_engine.json``
-tracks across versions, and writes the combined ``BENCH_obs.json``
-payload CI archives.
+identity check. This bench measures the default, traced, fabric and
+lineage modes on the full protocol stack (MESI L1/L2 + Crossing Guard +
+accelerator caches, where the hooks actually sit) plus the synthetic
+engine mix that ``BENCH_engine.json`` tracks across versions, and writes
+the combined ``BENCH_obs.json`` payload CI archives.
 
 Set ``BENCH_OBS_OUT`` to control where the JSON lands (default:
 ``BENCH_obs.json`` in the current directory; empty string disables the

@@ -887,8 +887,8 @@ def build_parser():
     bench.add_argument("--no-campaign", action="store_true",
                        help="skip the campaign wall-clock comparison")
     bench.add_argument("--obs-out", dest="obs_out", default=None, metavar="PATH",
-                       help="also measure telemetry overhead (metrics_off / "
-                            "default / traced) and write BENCH_obs.json there")
+                       help="also measure telemetry overhead (default / traced / "
+                            "fabric / lineage) and write BENCH_obs.json there")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="write the BENCH_engine.json payload here")
     bench.add_argument("--baseline", default=None, metavar="PATH",

@@ -97,7 +97,7 @@ class CoherenceController(Component):
             (port, self.in_ports[port], port not in self.RELEASE_EXEMPT_PORTS)
             for port in self.PORTS
         )
-        # pre-bound hot-path counters (no-op sinks when metrics are off)
+        # pre-bound hot-path counters
         self._stall_sink = self.stats.sink("stalls")
         self._anomaly_sink = self.stats.sink("protocol_anomalies")
         # lineage service class: which blame bucket this controller's

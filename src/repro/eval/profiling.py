@@ -330,8 +330,7 @@ def bench_xg_stress(mode="default", seed=0, ops=1200, repeats=3):
     MESI L1/L2, Crossing Guard, accelerator caches — so it is where
     telemetry hook overhead would actually show. ``mode``:
 
-    * ``"default"``     — metrics on, no telemetry hub (how tests run);
-    * ``"metrics_off"`` — :class:`NullStats` everywhere (campaign mode);
+    * ``"default"``     — no telemetry hub (how tests run);
     * ``"traced"``      — a :class:`~repro.obs.Telemetry` hub attached,
       spans + transitions recorded (the `repro trace` path);
     * ``"fabric"``      — campaign telemetry fabric attached in-process
@@ -364,7 +363,6 @@ def bench_xg_stress(mode="default", seed=0, ops=1200, repeats=3):
             accel_timeout=150_000,
             mem_latency=30,
             trace_depth=0,
-            metrics=mode != "metrics_off",
             lineage=mode == "lineage",
         )
         with ExitStack() as stack:
@@ -484,17 +482,16 @@ def obs_overhead_report(scale=1, seed=0, repeats=3, stress_ops=1200):
     ``engine`` is the synthetic mix with telemetry off — directly
     comparable to ``BENCH_engine.json`` across versions (the "telemetry
     must cost nothing when off" acceptance number). ``xg_stress`` runs
-    the full protocol stack in all three modes and reports the relative
+    the full protocol stack in every mode and reports the relative
     overheads; event counts are deterministic per seed, so mode rows are
     comparable exactly.
     """
     engine = run_engine_microbench(scale=scale, seed=seed, repeats=repeats)
     modes = {}
-    for mode in ("metrics_off", "default", "traced", "fabric", "lineage"):
+    for mode in ("default", "traced", "fabric", "lineage"):
         modes[mode] = bench_xg_stress(mode=mode, seed=seed, ops=stress_ops,
                                       repeats=repeats)
     default_eps = modes["default"]["events_per_sec"]
-    off_eps = modes["metrics_off"]["events_per_sec"]
     traced_eps = modes["traced"]["events_per_sec"]
     fabric_eps = modes["fabric"]["events_per_sec"]
     lineage_eps = modes["lineage"]["events_per_sec"]
@@ -514,22 +511,18 @@ def obs_overhead_report(scale=1, seed=0, repeats=3, stress_ops=1200):
         },
         "xg_stress": modes,
         "overhead_pct": {
-            # metrics accounting cost relative to the all-no-op mode
-            "metrics_vs_off": (
-                100.0 * (off_eps - default_eps) / off_eps if off_eps else 0.0
-            ),
-            # full span/transition recording relative to metrics-on
+            # full span/transition recording relative to the default
             "traced_vs_default": (
                 100.0 * (default_eps - traced_eps) / default_eps
                 if default_eps else 0.0
             ),
             # campaign fabric (emitter + progress monitor) relative to
-            # metrics-on — the ≤2% budget bench_obs_overhead.py gates
+            # the default — the ≤2% budget bench_obs_overhead.py gates
             "fabric_vs_default": (
                 100.0 * (default_eps - fabric_eps) / default_eps
                 if default_eps else 0.0
             ),
-            # causal lineage + span recording relative to metrics-on —
+            # causal lineage + span recording relative to the default —
             # the ≤3% budget bench_obs_overhead.py gates
             "lineage_vs_default": (
                 100.0 * (default_eps - lineage_eps) / default_eps

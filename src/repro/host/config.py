@@ -82,11 +82,8 @@ class SystemConfig:
     # simulation
     seed: int = 0
     deadlock_threshold: int = 1_000_000
-    # False hands every component the shared NullStats: all counter and
-    # histogram work becomes a no-op (pure-speed campaign mode)
-    metrics: bool = True
-    # forensic trace-ring depth; 0 disables recording entirely (fast
-    # campaign mode — replay the seed with a nonzero depth for forensics)
+    # forensic trace-ring depth; 0 disables recording entirely (campaigns
+    # run that way and replay a failing seed with a nonzero depth)
     trace_depth: int = 64
     # causal message lineage + per-span blame attribution
     # (repro.obs.lineage); records only flow once a Telemetry hub is

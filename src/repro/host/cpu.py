@@ -42,7 +42,7 @@ class Sequencer(Component):
         self.response_latency = response_latency
         self.max_outstanding = max_outstanding
         self.outstanding = {}
-        # pre-bound hot-path counters (no-ops when metrics are off)
+        # pre-bound hot-path counters
         self._issued_sink = self.stats.sink("ops_issued")
         self._completed_sink = self.stats.sink("ops_completed")
 

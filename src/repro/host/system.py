@@ -134,7 +134,6 @@ def build_system(config: SystemConfig) -> System:
         seed=config.seed,
         deadlock_threshold=config.deadlock_threshold,
         trace_depth=config.trace_depth,
-        metrics=config.metrics,
     )
     system.sim = sim
     # Records only flow once Telemetry attaches a LineageTracker; this

@@ -203,9 +203,7 @@ class FabricEmitter:
             width = self.config["sketch_bucket_width"]
             for kind, hist in sim.obs.spans.latency_histograms(
                     bucket_width=width).items():
-                self.sketch(f"span.{kind}", width).merge(
-                    LatencySketch.from_histogram(hist)
-                )
+                self.sketch(f"span.{kind}", width).merge(hist)
         sample = self._last_sample or {}
         self._emit({
             "kind": "job_finished", "worker": self.worker_id,

@@ -12,7 +12,7 @@ renders it as a text heatmap plus per-cell span-latency percentiles.
 
 from repro.coherence.coverage import CoverageReport
 from repro.eval.report import format_table
-from repro.sim.stats import Histogram
+from repro.sim.stats import LatencySketch
 
 #: Shading ramp for the heatmap, indexed by coverage fraction.
 _SHADES = " ░▒▓█"
@@ -33,7 +33,7 @@ class CellSummary:
         self.runs = 0
         #: controller type -> merged CoverageReport
         self.coverage = {}
-        #: span kind -> merged latency Histogram
+        #: span kind -> merged latency sketch
         self.span_hists = {}
         #: (span kind, status) -> count
         self.span_statuses = {}
@@ -53,18 +53,20 @@ class CellSummary:
 
     def add_telemetry(self, summary):
         """Merge one :meth:`Telemetry.summary` digest."""
-        for kind, hist in summary.get("span_hists", {}).items():
-            mine = self.span_hists.get(kind)
-            if mine is None:
-                mine = Histogram(hist.bucket_width)
-                self.span_hists[kind] = mine
-            hist.merge_into(mine)
+        self._merge_span_hists(summary.get("span_hists", {}))
         for key, count in summary.get("span_statuses", {}).items():
             self.span_statuses[key] = self.span_statuses.get(key, 0) + count
         self.spans_closed += summary.get("spans_closed", 0)
         self.spans_dropped += summary.get("spans_dropped", 0)
         self.transitions += summary.get("transitions", 0)
         self.faults += summary.get("faults", 0)
+
+    def _merge_span_hists(self, hists):
+        for kind, hist in hists.items():
+            mine = self.span_hists.get(kind)
+            if mine is None:
+                mine = self.span_hists[kind] = LatencySketch(hist.bucket_width)
+            mine.merge(hist)
 
     def add_run(self, coverage=None, telemetry_summary=None):
         self.runs += 1
@@ -76,12 +78,7 @@ class CellSummary:
     def merge(self, other):
         self.runs += other.runs
         self.add_coverage(other.coverage)
-        for kind, hist in other.span_hists.items():
-            mine = self.span_hists.get(kind)
-            if mine is None:
-                mine = Histogram(hist.bucket_width)
-                self.span_hists[kind] = mine
-            hist.merge_into(mine)
+        self._merge_span_hists(other.span_hists)
         for key, count in other.span_statuses.items():
             self.span_statuses[key] = self.span_statuses.get(key, 0) + count
         self.spans_closed += other.spans_closed

@@ -17,7 +17,7 @@ and the hooks in :class:`~repro.sim.network.Network`,
 telemetry costs nothing when it is off.
 """
 
-from repro.sim.stats import Histogram
+from repro.sim.stats import LatencySketch
 
 
 class Span:
@@ -166,12 +166,12 @@ class SpanRecorder:
         return [span for span in self.closed if span.status == status]
 
     def latency_histograms(self, bucket_width=8):
-        """Per-kind closed-span latency :class:`Histogram` map."""
+        """Per-kind closed-span latency :class:`LatencySketch` map."""
         hists = {}
         for span in self.closed:
             hist = hists.get(span.kind)
             if hist is None:
-                hist = Histogram(bucket_width)
+                hist = LatencySketch(bucket_width)
                 hists[span.kind] = hist
             hist.observe(span.end - span.start)
         return hists

@@ -8,7 +8,7 @@ enqueues messages at their arrival tick and schedules a component wakeup.
 
 from bisect import bisect_right, insort
 
-from repro.sim.stats import NULL_STATS, Stats
+from repro.sim.stats import Stats
 
 
 class MessageBuffer:
@@ -154,8 +154,7 @@ class Component:
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
-        stats_on = getattr(sim, "metrics_enabled", True)
-        self.stats = Stats(owner=name) if stats_on else NULL_STATS
+        self.stats = Stats(owner=name)
         self.in_ports = {port: MessageBuffer(f"{name}.{port}") for port in self.PORTS}
         # ports are fixed at construction; cache the buffers for the
         # per-wakeup scans below

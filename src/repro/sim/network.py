@@ -82,8 +82,7 @@ class Network:
         # hot-path caches: the stats counter dict (two increments per
         # message) and the per-mtype counter-key strings (so the
         # f"msg.{...}" string is built once per message type, not once
-        # per message). ``None`` when the simulator runs metrics-off —
-        # one identity check skips the whole counter block.
+        # per message).
         self._counters = self.stats.counters
         self._mtype_keys = {}
         # (dest, port) -> (component, buffer): validated once, then every
@@ -224,25 +223,24 @@ class Network:
                     pass
                 last[lane] = arrival
             counters = self._counters
-            if counters is not None:
+            try:
+                counters["messages"] += 1
+            except KeyError:
+                counters["messages"] = 1
+            mtype = msg.mtype
+            key = self._mtype_keys.get(mtype)
+            if key is None:
+                key = f"msg.{getattr(mtype, 'name', mtype)}"
+                self._mtype_keys[mtype] = key
+            try:
+                counters[key] += 1
+            except KeyError:
+                counters[key] = 1
+            if msg.data is not None:
                 try:
-                    counters["messages"] += 1
+                    counters["data_messages"] += 1
                 except KeyError:
-                    counters["messages"] = 1
-                mtype = msg.mtype
-                key = self._mtype_keys.get(mtype)
-                if key is None:
-                    key = f"msg.{getattr(mtype, 'name', mtype)}"
-                    self._mtype_keys[mtype] = key
-                try:
-                    counters[key] += 1
-                except KeyError:
-                    counters[key] = 1
-                if msg.data is not None:
-                    try:
-                        counters["data_messages"] += 1
-                    except KeyError:
-                        counters["data_messages"] = 1
+                    counters["data_messages"] = 1
             if sim.trace is not None:
                 sim.record_trace(self.name, msg, note=note)
             # inlined MessageBuffer.enqueue (append fast path; arrivals on

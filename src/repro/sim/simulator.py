@@ -11,7 +11,7 @@ import random
 from collections import deque
 
 from repro.sim.event import Event, EventQueue
-from repro.sim.stats import NULL_STATS, Stats
+from repro.sim.stats import Stats
 
 
 class DeadlockError(RuntimeError):
@@ -147,7 +147,7 @@ class ProgressMonitor:
 class Simulator:
     """Owns the clock, the event queue, components, and global stats."""
 
-    def __init__(self, seed=0, deadlock_threshold=None, trace_depth=64, metrics=True):
+    def __init__(self, seed=0, deadlock_threshold=None, trace_depth=64):
         self.tick = 0
         self.rng = random.Random(seed)
         self.seed = seed
@@ -158,10 +158,6 @@ class Simulator:
         self.deadlock_threshold = deadlock_threshold
         self._events_fired = 0
         self._component_index = {}
-        #: ``metrics=False`` hands every component/network the shared
-        #: :data:`~repro.sim.stats.NULL_STATS` — all counter and histogram
-        #: work becomes a no-op (pure-speed campaign mode).
-        self.metrics_enabled = metrics
         #: optional :class:`~repro.obs.Telemetry` hub. ``None`` (the
         #: default) means every instrumentation hook in the engine and the
         #: protocol layer reduces to one attribute load + identity check.
@@ -228,8 +224,6 @@ class Simulator:
 
     def stats_for(self, owner):
         """A named Stats bag owned by the simulator (for networks etc.)."""
-        if not self.metrics_enabled:
-            return NULL_STATS
         if owner not in self._stats:
             self._stats[owner] = Stats(owner=owner)
         return self._stats[owner]

@@ -1,4 +1,4 @@
-"""Lightweight statistics: counters, streaming histograms, and stat sinks.
+"""Lightweight statistics: counters, latency sketches, and stat sinks.
 
 Every component owns a :class:`Stats` instance; the simulator can aggregate
 them into one report. Values are plain Python numbers so reports serialize
@@ -6,30 +6,43 @@ trivially.
 
 Hot paths do not call :meth:`Stats.inc` with a formatted name per event —
 they pre-bind a :class:`StatSink` once (one dict access per hit, no string
-formatting) and, when a simulator runs with metrics disabled entirely,
-every sink and every :class:`NullStats` method is a no-op, so telemetry
-costs nothing when it is off.
+formatting).
+
+:class:`LatencySketch` is the one latency histogram: :class:`Stats` keeps
+its histograms as sketches, and the campaign telemetry fabric
+(:mod:`repro.obs.sketch`) ships the same type across processes. It lives
+here rather than in :mod:`repro.obs` so the simulator core imports nothing
+from the observability package.
 """
 
+import json
 
-class Histogram:
-    """Streaming histogram tracking count/sum/min/max and coarse buckets."""
+#: bucket width (in observed units) of every :class:`Stats` histogram
+STATS_BUCKET_WIDTH = 16
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "_bucket_width")
 
-    def __init__(self, bucket_width=16):
+class LatencySketch:
+    """Fixed-bucket latency digest: count/sum/min/max + bucket counts.
+
+    A sketch's merge is a commutative, associative integer fold, and
+    :meth:`canonical` serializes it with sorted keys, so two folds of the
+    same contributions are byte-identical regardless of arrival order.
+    ``bucket_width`` is fixed at construction and is part of a sketch's
+    identity: merging mismatched widths raises, because a silent re-bin
+    would break that byte-identity contract.
+    """
+
+    __slots__ = ("bucket_width", "count", "total", "min", "max", "buckets")
+
+    def __init__(self, bucket_width=8):
         if bucket_width < 1:
             raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
+        self.bucket_width = bucket_width
         self.count = 0
         self.total = 0
         self.min = None
         self.max = None
         self.buckets = {}
-        self._bucket_width = bucket_width
-
-    @property
-    def bucket_width(self):
-        return self._bucket_width
 
     def observe(self, value):
         self.count += 1
@@ -38,14 +51,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        bucket = int(value) // self._bucket_width
+        bucket = int(value) // self.bucket_width
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property
     def mean(self):
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
+        return self.total / self.count if self.count else 0.0
 
     def percentile(self, q):
         """Approximate ``q``-quantile (q in [0, 1]) from the buckets.
@@ -59,7 +70,7 @@ class Histogram:
             return 0.0
         target = q * self.count
         cumulative = 0
-        width = self._bucket_width
+        width = self.bucket_width
         for bucket in sorted(self.buckets):
             in_bucket = self.buckets[bucket]
             if cumulative + in_bucket >= target:
@@ -69,55 +80,62 @@ class Histogram:
             cumulative += in_bucket
         return self.max
 
-    def merge_into(self, dest):
-        """Accumulate this histogram into ``dest``.
-
-        Bucket widths are carried through the merge: matching widths sum
-        bucket-for-bucket; on a mismatch this histogram's buckets are
-        re-binned by bucket start value into ``dest``'s width (coarser or
-        finer — deterministic either way) instead of being silently summed
-        into wrong bins.
-        """
-        dest.count += self.count
-        dest.total += self.total
-        if self.min is not None:
-            dest.min = self.min if dest.min is None else min(dest.min, self.min)
-        if self.max is not None:
-            dest.max = self.max if dest.max is None else max(dest.max, self.max)
-        if dest._bucket_width == self._bucket_width:
-            for bucket, count in self.buckets.items():
-                dest.buckets[bucket] = dest.buckets.get(bucket, 0) + count
-        else:
-            width = self._bucket_width
-            dest_width = dest._bucket_width
-            for bucket, count in self.buckets.items():
-                rebinned = (bucket * width) // dest_width
-                dest.buckets[rebinned] = dest.buckets.get(rebinned, 0) + count
+    def merge(self, other):
+        """Key-wise integer fold of ``other`` into self. Order-free."""
+        if other.bucket_width != self.bucket_width:
+            raise ValueError(
+                f"sketch width mismatch: {self.bucket_width} vs "
+                f"{other.bucket_width} (widths are part of a sketch's identity)"
+            )
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+        for bucket, count in other.buckets.items():
+            self.buckets[bucket] = self.buckets.get(bucket, 0) + count
+        return self
 
     def as_dict(self):
         return {
+            "bucket_width": self.bucket_width,
             "count": self.count,
             "sum": self.total,
-            "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            # bucket map included so two runs can be compared exactly
-            # (the determinism property tests diff full stats reports)
-            "buckets": dict(self.buckets),
+            # string keys so the dict survives JSON round-trips unchanged
+            "buckets": {str(k): v for k, v in self.buckets.items()},
         }
 
+    @classmethod
+    def from_dict(cls, data):
+        sketch = cls(bucket_width=data["bucket_width"])
+        sketch.count = data["count"]
+        sketch.total = data["sum"]
+        sketch.min = data["min"]
+        sketch.max = data["max"]
+        sketch.buckets = {int(k): v for k, v in data["buckets"].items()}
+        return sketch
+
+    def canonical(self):
+        """Sorted-key JSON bytes: equal folds serialize byte-identically."""
+        return json.dumps(self.as_dict(), sort_keys=True).encode()
+
+    def __eq__(self, other):
+        return (isinstance(other, LatencySketch)
+                and self.canonical() == other.canonical())
+
     def __repr__(self):
-        return (
-            f"Histogram(count={self.count}, mean={self.mean:.2f}, "
-            f"min={self.min}, max={self.max})"
-        )
+        return (f"LatencySketch(width={self.bucket_width}, count={self.count}, "
+                f"mean={self.mean:.1f})")
 
 
-class _ReadOnlyHistogram(Histogram):
-    """The empty histogram :meth:`Stats.histogram` returns for unknown names.
+class _ReadOnlySketch(LatencySketch):
+    """The empty sketch :meth:`Stats.histogram` returns for unknown names.
 
-    Observing into it would silently lose data (nothing registers it), so
-    it refuses writes instead.
+    Observing or merging into it would silently lose data (nothing
+    registers it), so it refuses writes instead.
     """
 
     __slots__ = ()
@@ -125,24 +143,14 @@ class _ReadOnlyHistogram(Histogram):
     def observe(self, value):
         raise TypeError(
             "read-only empty histogram: Stats.histogram() of a never-observed "
-            "name is not registered; use Stats.observe() or ensure_histogram()"
+            "name is not registered; use Stats.observe()"
         )
+
+    merge = observe
 
 
 #: Shared immutable empty histogram (see :meth:`Stats.histogram`).
-EMPTY_HISTOGRAM = _ReadOnlyHistogram()
-
-
-class _DiscardHistogram(Histogram):
-    """Histogram that drops observations — backs :data:`NULL_STATS`."""
-
-    __slots__ = ()
-
-    def observe(self, value):
-        return None
-
-
-_DISCARD_HISTOGRAM = _DiscardHistogram()
+EMPTY_HISTOGRAM = _ReadOnlySketch(STATS_BUCKET_WIDTH)
 
 
 class StatSink:
@@ -166,22 +174,6 @@ class StatSink:
 
     def __repr__(self):
         return f"StatSink({self.name!r})"
-
-
-class _NullStatSink:
-    """Sink that compiles to a no-op — what metrics-off simulations use."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1):
-        return None
-
-    def __repr__(self):
-        return "NULL_SINK"
-
-
-#: Shared no-op sink (see :meth:`Stats.sink` / :class:`NullStats`).
-NULL_SINK = _NullStatSink()
 
 
 class Stats:
@@ -212,17 +204,9 @@ class Stats:
         """Record ``value`` in histogram ``name``."""
         hist = self.histograms.get(name)
         if hist is None:
-            hist = Histogram()
+            hist = LatencySketch(STATS_BUCKET_WIDTH)
             self.histograms[name] = hist
         hist.observe(value)
-
-    def ensure_histogram(self, name, bucket_width=16):
-        """Return histogram ``name``, registering it if new (pre-binding)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = Histogram(bucket_width)
-            self.histograms[name] = hist
-        return hist
 
     def histogram(self, name):
         """Return histogram ``name``.
@@ -237,7 +221,16 @@ class Stats:
     def as_dict(self):
         report = dict(self.counters)
         for name, hist in self.histograms.items():
-            report[name] = hist.as_dict()
+            report[name] = {
+                "count": hist.count,
+                "sum": hist.total,
+                "mean": hist.mean,
+                "min": hist.min,
+                "max": hist.max,
+                # int-keyed bucket map so two runs can be compared exactly
+                # (the determinism property tests diff full stats reports)
+                "buckets": dict(hist.buckets),
+            }
         return report
 
     def merge_into(self, other):
@@ -247,59 +240,8 @@ class Stats:
         for name, hist in self.histograms.items():
             dest = other.histograms.get(name)
             if dest is None:
-                # carry the source's bucket width so later merges of the
-                # same name land in identical bins
-                dest = Histogram(hist._bucket_width)
-                other.histograms[name] = dest
-            hist.merge_into(dest)
+                dest = other.histograms[name] = LatencySketch(hist.bucket_width)
+            dest.merge(hist)
 
     def __repr__(self):
         return f"Stats(owner={self.owner!r}, counters={len(self.counters)})"
-
-
-class NullStats:
-    """Shared no-op stand-in for :class:`Stats` when metrics are disabled.
-
-    A simulator built with ``metrics=False`` hands every component this
-    singleton: increments, observations, and merges vanish, ``sink()``
-    returns the no-op :data:`NULL_SINK`, and ``counters`` is ``None`` so
-    hand-inlined hot paths (the network's delivery counters) can skip
-    their counter block with one identity check.
-    """
-
-    __slots__ = ()
-
-    owner = "null"
-    counters = None
-    histograms = {}
-
-    def inc(self, name, amount=1):
-        return None
-
-    def get(self, name, default=0):
-        return default
-
-    def sink(self, name):
-        return NULL_SINK
-
-    def observe(self, name, value):
-        return None
-
-    def ensure_histogram(self, name, bucket_width=16):
-        return _DISCARD_HISTOGRAM
-
-    def histogram(self, name):
-        return EMPTY_HISTOGRAM
-
-    def as_dict(self):
-        return {}
-
-    def merge_into(self, other):
-        return None
-
-    def __repr__(self):
-        return "NULL_STATS"
-
-
-#: The shared metrics-off stats instance.
-NULL_STATS = NullStats()

@@ -145,7 +145,6 @@ def cell_config(host="mesi", variant="full_state", addresses=1, n_cpus=2):
         accel_timeout=EXPLORER_ACCEL_TIMEOUT,
         deadlock_threshold=None,
         invariant_interval=0,
-        metrics=False,
         trace_depth=0,
         seed=0,
     )

@@ -115,7 +115,7 @@ class CrossingGuardBase(CoherenceController):
         super().__init__(sim, name)
         # pre-bound hot-path counters, keyed by message type so the
         # f"to_accel.{...}" strings are built once per type rather than
-        # once per message (no-op sinks when metrics are off)
+        # once per message
         self._accel_send_sinks = {}
         self._host_send_sinks = {}
         self._accel_req_sinks = {}

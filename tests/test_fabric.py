@@ -108,18 +108,6 @@ def test_latency_sketch_dict_roundtrip_through_json():
     assert clone.buckets == sketch.buckets  # int keys restored
 
 
-def test_latency_sketch_from_histogram_is_exact():
-    from repro.sim.stats import Histogram
-
-    hist = Histogram(8)
-    for value in (3, 11, 200):
-        hist.observe(value)
-    sketch = LatencySketch.from_histogram(hist)
-    assert sketch.count == hist.count
-    assert sketch.total == hist.total
-    assert sketch.buckets == dict(hist.buckets)
-
-
 def test_counter_series_records_deltas_and_skips_zero():
     series = CounterSeries(bucket_ticks=100)
     series.record(50, "events", 10)

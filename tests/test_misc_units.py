@@ -6,7 +6,7 @@ from repro.coherence.coverage import collect_coverage
 from repro.eval.perf import perf_configs, run_one
 from repro.host.config import AccelOrg, HostProtocol
 from repro.sim.message import Message
-from repro.sim.stats import Histogram
+from repro.sim.stats import Stats
 from repro.workloads.synthetic import PERF_WORKLOADS
 
 
@@ -33,14 +33,23 @@ def test_message_repr_shows_payload_flags():
 
 
 def test_histogram_buckets_track_distribution():
-    hist = Histogram(bucket_width=10)
-    for value in (1, 5, 11, 25, 25):
-        hist.observe(value)
-    assert hist.buckets[0] == 2
-    assert hist.buckets[1] == 1
-    assert hist.buckets[2] == 2
-    report = hist.as_dict()
-    assert report["count"] == 5 and report["min"] == 1 and report["max"] == 25
+    """Pins the per-histogram report shape the golden stats digests hash:
+    count/sum/mean/min/max plus an int-keyed bucket map of width 16."""
+    stats = Stats("c")
+    stats.inc("hits", 2)
+    for value in (1, 5, 17, 40, 40):
+        stats.observe("lat", value)
+    assert stats.as_dict() == {
+        "hits": 2,
+        "lat": {
+            "count": 5,
+            "sum": 103,
+            "mean": 20.6,
+            "min": 1,
+            "max": 40,
+            "buckets": {0: 2, 1: 1, 2: 2},
+        },
+    }
 
 
 def test_perf_configs_cover_six_orgs():

@@ -3,13 +3,18 @@
 Covers the span lifecycle (including under fault injection — dropped and
 duplicated messages must not leak open spans), the Perfetto exporter's
 schema, the coverage/latency matrix, and the stats-layer fixes that ride
-along (histogram merge re-binning, read-only empty histograms, no-op
-metrics mode).
+along (read-only empty histograms, pre-bound sinks, and the simulator
+core's independence from the observability package).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
@@ -22,7 +27,7 @@ from repro.obs import (
     validate_trace,
     write_trace,
 )
-from repro.sim.stats import EMPTY_HISTOGRAM, NULL_STATS, Histogram, Stats
+from repro.sim.stats import EMPTY_HISTOGRAM, LatencySketch, Stats
 from repro.testing.chaos import run_chaos_campaign
 from repro.xg.interface import XGVariant
 
@@ -441,36 +446,19 @@ def test_stress_result_stays_json_serializable_without_telemetry():
 
 
 def test_histogram_merge_matching_widths():
-    a, b = Histogram(8), Histogram(8)
+    a, b = LatencySketch(8), LatencySketch(8)
     a.observe(4)
     a.observe(20)
     b.observe(7)
-    a.merge_into(b)
+    b.merge(a)
     assert b.count == 3
     assert b.buckets == {0: 2, 2: 1}
     assert b.min == 4 and b.max == 20
 
 
-def test_histogram_merge_rebins_on_width_mismatch():
-    """Regression: mismatched widths used to sum bucket indices directly,
-    silently corrupting the distribution."""
-    fine, coarse = Histogram(4), Histogram(16)
-    fine.observe(5)  # fine bucket 1 -> coarse bucket 0
-    fine.observe(18)  # fine bucket 4 -> coarse bucket 1
-    fine.observe(33)  # fine bucket 8 -> coarse bucket 2
-    fine.merge_into(coarse)
-    assert coarse.buckets == {0: 1, 1: 1, 2: 1}
-    assert coarse.count == 3 and coarse.total == 56
-    # and the other direction (coarse into fine) stays deterministic
-    back = Histogram(4)
-    coarse.merge_into(back)
-    assert back.count == 3
-    assert sum(back.buckets.values()) == 3
-
-
 def test_stats_histogram_unknown_name_is_readonly():
     """Regression: Stats.histogram() of a never-observed name returned a
-    fresh unattached Histogram — observations into it vanished."""
+    fresh unattached histogram — observations into it vanished."""
     stats = Stats("c")
     hist = stats.histogram("never_observed")
     assert hist is EMPTY_HISTOGRAM
@@ -488,35 +476,22 @@ def test_stats_sink_prebinding():
     assert stats.get("hits") == 4
 
 
-def test_null_stats_discards_everything():
-    NULL_STATS.inc("x")
-    NULL_STATS.observe("lat", 5)
-    NULL_STATS.sink("y").inc()
-    NULL_STATS.ensure_histogram("z").observe(1)
-    assert NULL_STATS.as_dict() == {}
-    assert NULL_STATS.counters is None  # hot paths key off this
-
-
-def test_metrics_off_system_runs_and_reports_empty():
-    system = _small_system(metrics=False)
-    assert system.sim.metrics_enabled is False
-    assert system.xg.stats is NULL_STATS
-    done = []
-    system.accel_seqs[0].store(0x1000, 9)
-    system.cpu_seqs[0].load(0x1000, callback=lambda *a: done.append(a))
-    system.sim.run()
-    assert done  # the load completed despite zero stats plumbing
-    assert system.xg.stats.as_dict() == {}
-
-
-def test_metrics_off_matches_metrics_on_timing():
-    """Disabling metrics must not perturb simulated behavior — same final
-    tick, same event count."""
-    ticks = {}
-    for metrics in (True, False):
-        system = _small_system(metrics=metrics, seed=11)
-        system.accel_seqs[0].store(0x4000, 2)
-        system.cpu_seqs[0].load(0x4000)
-        system.sim.run()
-        ticks[metrics] = (system.sim.tick, system.sim._events_fired)
-    assert ticks[True] == ticks[False]
+def test_sim_stats_imports_nothing_from_obs():
+    """repro.obs imports repro.sim.stats, so the reverse edge would be a
+    cycle. A fresh interpreter with the top-level package stubbed (its
+    ``__init__`` re-exports everything) loads only the sim core's own
+    import closure."""
+    probe = (
+        "import json, sys, types\n"
+        "pkg = types.ModuleType('repro')\n"
+        f"pkg.__path__ = {list(repro.__path__)!r}\n"
+        "sys.modules['repro'] = pkg\n"
+        "import repro.sim.stats\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "repro.sim.stats" in loaded
+    assert not [m for m in loaded if m.startswith("repro.obs")], loaded
