@@ -55,9 +55,6 @@ class BlockShim(CoherenceController):
         self.blocks = {}
         super().__init__(sim, name)
 
-    def _build_transitions(self):
-        return
-
     def attach_accelerator(self, accel_name):
         self.accel_name = accel_name
 

@@ -128,29 +128,28 @@ class AccelL1(CacheControllerBase):
 
     # -- Table 1 ------------------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = AL1State, AL1Event
-        t[(S.M, E.Load)] = self._hit_load
-        t[(S.M, E.Store)] = self._hit_store
-        t[(S.M, E.Replacement)] = self._m_repl
-        t[(S.M, E.Invalidate)] = self._m_inv
-        t[(S.E, E.Load)] = self._hit_load
-        t[(S.E, E.Store)] = self._e_store
-        t[(S.E, E.Replacement)] = self._e_repl
-        t[(S.E, E.Invalidate)] = self._e_inv
-        t[(S.S, E.Load)] = self._hit_load
-        t[(S.S, E.Store)] = self._s_store
-        t[(S.S, E.Replacement)] = self._s_repl
-        t[(S.S, E.Invalidate)] = self._stable_inv_ack
-        t[(S.I, E.Load)] = self._i_load
-        t[(S.I, E.Store)] = self._i_store
-        t[(S.I, E.Invalidate)] = self._i_inv
-        t[(S.B, E.Invalidate)] = self._b_inv
-        t[(S.B, E.DataM)] = self._b_data_m
-        t[(S.B, E.DataE)] = self._b_data_e
-        t[(S.B, E.DataS)] = self._b_data_s
-        t[(S.B, E.WBAck)] = self._b_wback
+    TRANSITIONS = {
+        (AL1State.M, AL1Event.Load): "_hit_load",
+        (AL1State.M, AL1Event.Store): "_hit_store",
+        (AL1State.M, AL1Event.Replacement): "_m_repl",
+        (AL1State.M, AL1Event.Invalidate): "_m_inv",
+        (AL1State.E, AL1Event.Load): "_hit_load",
+        (AL1State.E, AL1Event.Store): "_e_store",
+        (AL1State.E, AL1Event.Replacement): "_e_repl",
+        (AL1State.E, AL1Event.Invalidate): "_e_inv",
+        (AL1State.S, AL1Event.Load): "_hit_load",
+        (AL1State.S, AL1Event.Store): "_s_store",
+        (AL1State.S, AL1Event.Replacement): "_s_repl",
+        (AL1State.S, AL1Event.Invalidate): "_stable_inv_ack",
+        (AL1State.I, AL1Event.Load): "_i_load",
+        (AL1State.I, AL1Event.Store): "_i_store",
+        (AL1State.I, AL1Event.Invalidate): "_i_inv",
+        (AL1State.B, AL1Event.Invalidate): "_b_inv",
+        (AL1State.B, AL1Event.DataM): "_b_data_m",
+        (AL1State.B, AL1Event.DataE): "_b_data_e",
+        (AL1State.B, AL1Event.DataS): "_b_data_s",
+        (AL1State.B, AL1Event.WBAck): "_b_wback",
+    }
 
     # -- stable-state CPU ops ----------------------------------------------------------
 

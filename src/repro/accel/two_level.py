@@ -208,54 +208,55 @@ class AccelL2Shared(CoherenceController):
 
     # -- transition table ----------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = AL2State, AL2Event
-        t[(S.NP, E.GetS)] = self._np_get
-        t[(S.NP, E.GetM)] = self._np_get
-        t[(S.S, E.GetS)] = self._s_gets
-        t[(S.O, E.GetS)] = self._o_gets
-        t[(S.S, E.GetM)] = self._s_getm
-        t[(S.O, E.GetM)] = self._o_getm
-        for st in (S.S, S.O):
-            t[(st, E.PutS)] = self._l1_puts
-            t[(st, E.PutE)] = self._l1_putx
-            t[(st, E.PutM)] = self._l1_putx
-        t[(S.NP, E.PutS)] = self._l1_put_stale
-        t[(S.NP, E.PutE)] = self._l1_put_stale
-        t[(S.NP, E.PutM)] = self._l1_put_stale
-        t[(S.B_FETCH, E.DataS)] = self._fetch_data
-        t[(S.B_FETCH, E.DataE)] = self._fetch_data
-        t[(S.B_FETCH, E.DataM)] = self._fetch_data
-        t[(S.B_LOCAL, E.InvAck)] = self._local_ack
-        t[(S.B_LOCAL, E.CleanWB)] = self._local_wb
-        t[(S.B_LOCAL, E.DirtyWB)] = self._local_wb
-        t[(S.B_EVICT, E.InvAck)] = self._local_ack
-        t[(S.B_EVICT, E.CleanWB)] = self._local_wb
-        t[(S.B_EVICT, E.DirtyWB)] = self._local_wb
-        t[(S.B_PUT, E.WBAck)] = self._put_done
-        t[(S.S, E.Invalidate)] = self._xg_inv
-        t[(S.O, E.Invalidate)] = self._xg_inv
-        t[(S.NP, E.Invalidate)] = self._xg_inv_np
-        t[(S.B_PUT, E.Invalidate)] = self._busy_inv
-        t[(S.B_FETCH, E.Invalidate)] = self._busy_inv
-        t[(S.B_LOCAL, E.Invalidate)] = self._busy_inv_stall
-        t[(S.B_EVICT, E.Invalidate)] = self._busy_inv_stall
-        t[(S.S, E.Replacement)] = self._repl
-        t[(S.O, E.Replacement)] = self._repl
-        # Stall rows never execute as transitions (stalls are dispatch
-        # behavior), and stale-Put rows are only reachable with buggy L1s;
-        # exclude both from the coverage denominator.
-        # (NP, PutS) stays in the denominator: a sharer's PutS can race an
-        # inclusive eviction and legitimately arrive after the block left.
-        self.coverage_exempt |= {
-            (S.B_LOCAL, E.Invalidate),
-            (S.B_EVICT, E.Invalidate),
-            (S.NP, E.PutE),
-            (S.NP, E.PutM),
-            (S.S, E.PutE),
-            (S.S, E.PutM),
-        }
+    TRANSITIONS = {
+        (AL2State.NP, AL2Event.GetS): "_np_get",
+        (AL2State.NP, AL2Event.GetM): "_np_get",
+        (AL2State.S, AL2Event.GetS): "_s_gets",
+        (AL2State.O, AL2Event.GetS): "_o_gets",
+        (AL2State.S, AL2Event.GetM): "_s_getm",
+        (AL2State.O, AL2Event.GetM): "_o_getm",
+        (AL2State.S, AL2Event.PutS): "_l1_puts",
+        (AL2State.S, AL2Event.PutE): "_l1_putx",
+        (AL2State.S, AL2Event.PutM): "_l1_putx",
+        (AL2State.O, AL2Event.PutS): "_l1_puts",
+        (AL2State.O, AL2Event.PutE): "_l1_putx",
+        (AL2State.O, AL2Event.PutM): "_l1_putx",
+        (AL2State.NP, AL2Event.PutS): "_l1_put_stale",
+        (AL2State.NP, AL2Event.PutE): "_l1_put_stale",
+        (AL2State.NP, AL2Event.PutM): "_l1_put_stale",
+        (AL2State.B_FETCH, AL2Event.DataS): "_fetch_data",
+        (AL2State.B_FETCH, AL2Event.DataE): "_fetch_data",
+        (AL2State.B_FETCH, AL2Event.DataM): "_fetch_data",
+        (AL2State.B_LOCAL, AL2Event.InvAck): "_local_ack",
+        (AL2State.B_LOCAL, AL2Event.CleanWB): "_local_wb",
+        (AL2State.B_LOCAL, AL2Event.DirtyWB): "_local_wb",
+        (AL2State.B_EVICT, AL2Event.InvAck): "_local_ack",
+        (AL2State.B_EVICT, AL2Event.CleanWB): "_local_wb",
+        (AL2State.B_EVICT, AL2Event.DirtyWB): "_local_wb",
+        (AL2State.B_PUT, AL2Event.WBAck): "_put_done",
+        (AL2State.S, AL2Event.Invalidate): "_xg_inv",
+        (AL2State.O, AL2Event.Invalidate): "_xg_inv",
+        (AL2State.NP, AL2Event.Invalidate): "_xg_inv_np",
+        (AL2State.B_PUT, AL2Event.Invalidate): "_busy_inv",
+        (AL2State.B_FETCH, AL2Event.Invalidate): "_busy_inv",
+        (AL2State.B_LOCAL, AL2Event.Invalidate): "_busy_inv_stall",
+        (AL2State.B_EVICT, AL2Event.Invalidate): "_busy_inv_stall",
+        (AL2State.S, AL2Event.Replacement): "_repl",
+        (AL2State.O, AL2Event.Replacement): "_repl",
+    }
+    # Stall rows never execute as transitions (stalls are dispatch
+    # behavior), and stale-Put rows are only reachable with buggy L1s;
+    # exclude both from the coverage denominator.
+    # (NP, PutS) stays in the denominator: a sharer's PutS can race an
+    # inclusive eviction and legitimately arrive after the block left.
+    COVERAGE_EXEMPT = frozenset({
+        (AL2State.B_LOCAL, AL2Event.Invalidate),
+        (AL2State.B_EVICT, AL2Event.Invalidate),
+        (AL2State.NP, AL2Event.PutE),
+        (AL2State.NP, AL2Event.PutM),
+        (AL2State.S, AL2Event.PutE),
+        (AL2State.S, AL2Event.PutM),
+    })
 
     # -- L1 Gets ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ Semantics mirror gem5 Ruby's generated controllers:
 """
 
 from collections import defaultdict, deque
+from types import MappingProxyType
 
 from repro.sim.component import Component
 
@@ -51,17 +52,47 @@ class CoherenceController(Component):
 
     Subclasses:
       * set ``PORTS`` (priority order) and ``CONTROLLER_TYPE``;
-      * build ``self.transitions[(state, event)] = handler`` in
-        ``_build_transitions``;
+      * declare ``TRANSITIONS``, a class-level mapping from
+        ``(state, event)`` to a handler *method name*, and optionally
+        ``COVERAGE_EXEMPT``;
       * implement ``handle_message(port, msg) -> CONSUMED|STALL|RETRY``,
         usually by classifying the message into an event and calling
         ``self.fire(state, event, msg)``. ``fire`` runs the declared
         handler, records coverage for anything but a stall, and returns
         the handler's outcome (CONSUMED unless it says otherwise); an
         undeclared pair raises :class:`ProtocolError`.
+
+    The table is built once per class, when the class is defined: each
+    name resolves with ``getattr`` on that concrete class, so a subclass
+    that overrides a handler method (``StreamingAccelL1._hit_load``)
+    dispatches to its override without redeclaring the row. The result
+    is the read-only ``transitions`` mapping — (state, event) to handler
+    function, the coverage universe and the E2 complexity count — and
+    the flattened ``{state: {event: (handler, key)}}`` dispatch table
+    every instance of the class shares.
     """
 
     CONTROLLER_TYPE = "generic"
+
+    #: declared transition table: (state, event) -> handler method name
+    TRANSITIONS = {}
+
+    #: declared pairs excluded from the coverage denominator (e.g. paths
+    #: reachable only with a misbehaving accelerator behind XG)
+    COVERAGE_EXEMPT = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        transitions = {
+            key: getattr(cls, name) for key, name in cls.TRANSITIONS.items()
+        }
+        dispatch = {}
+        for key, handler in transitions.items():
+            # keep the declared key tuple so coverage accounting reuses it
+            # instead of allocating a fresh tuple per fired transition
+            dispatch.setdefault(key[0], {})[key[1]] = (handler, key)
+        cls.transitions = MappingProxyType(transitions)
+        cls._dispatch = dispatch
 
     #: ticks of processing time per consumed message (0 = infinitely fast,
     #: the default). When set, the controller handles one message per
@@ -78,13 +109,8 @@ class CoherenceController(Component):
 
     def __init__(self, sim, name):
         super().__init__(sim, name)
-        self.transitions = {}
         self.coverage = defaultdict(int)
-        #: transitions excluded from the coverage denominator (e.g. paths
-        #: reachable only with a misbehaving accelerator behind XG)
-        self.coverage_exempt = set()
-        self._build_transitions()
-        self.recompile_dispatch()
+        self.fire = self._compile_fire()
         self._stalled = defaultdict(deque)
         self._stalled_since = {}
         self._stalled_total = 0
@@ -112,40 +138,19 @@ class CoherenceController(Component):
 
     # -- subclass API -----------------------------------------------------------
 
-    def _build_transitions(self):
-        raise NotImplementedError
-
     def handle_message(self, port, msg):
         raise NotImplementedError
 
     # -- transition machinery ------------------------------------------------
 
-    def recompile_dispatch(self):
-        """(Re)flatten ``self.transitions`` and install ``self.fire`` over it.
-
-        Called automatically after ``_build_transitions``; call again after
-        mutating ``self.transitions`` at runtime, or the compiled table
-        keeps serving the old entries.
-        """
-        table = {}
-        for key, handler in self.transitions.items():
-            state, event = key
-            row = table.get(state)
-            if row is None:
-                row = table[state] = {}
-            # keep the original key tuple so coverage accounting reuses it
-            # instead of allocating a fresh tuple per fired transition
-            row[event] = (handler, key)
-        self._dispatch = table
-        self.fire = self._compile_fire()
-
     def _compile_fire(self):
         """Build the monomorphic ``fire`` closure over pre-resolved state.
 
-        Everything the hot path needs — the flattened dispatch table, the
-        coverage dict, the simulator, and this controller's identity — is
-        captured once here, so per-message work is two dict probes plus the
-        handler call (no tuple allocation, no attribute chains).
+        Everything the hot path needs — the class's flattened dispatch
+        table, this instance's coverage dict, the simulator, and this
+        controller's identity — is captured once here, so per-message work
+        is two dict probes plus the handler call (no tuple allocation, no
+        attribute chains).
         """
         dispatch = self._dispatch
         coverage = self.coverage
@@ -159,7 +164,7 @@ class CoherenceController(Component):
             if entry is None:
                 raise ProtocolError(controller, state, event, msg)
             handler, key = entry
-            outcome = handler(msg)
+            outcome = handler(controller, msg)
             if outcome is None:
                 outcome = CONSUMED
             if outcome is not STALL:
@@ -177,7 +182,7 @@ class CoherenceController(Component):
 
     def possible_transitions(self):
         """Declared (state, event) pairs — the coverage denominator."""
-        return set(self.transitions) - self.coverage_exempt
+        return set(self.transitions) - self.COVERAGE_EXEMPT
 
     # -- explorer hooks ---------------------------------------------------------
 

@@ -162,83 +162,84 @@ class HammerCache(CacheControllerBase):
 
     # -- transition table -----------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = HCState, HCEvent
+    TRANSITIONS = {
         # CPU ops
-        t[(S.I, E.Load)] = self._i_load
-        t[(S.I, E.Store)] = self._i_store
-        for hit_state in (S.S, S.E, S.M, S.O):
-            t[(hit_state, E.Load)] = self._hit_load
-        t[(S.M, E.Store)] = self._m_store
-        t[(S.E, E.Store)] = self._e_store
-        t[(S.S, E.Store)] = self._s_store
-        t[(S.O, E.Store)] = self._o_store
+        (HCState.I, HCEvent.Load): "_i_load",
+        (HCState.I, HCEvent.Store): "_i_store",
+        (HCState.S, HCEvent.Load): "_hit_load",
+        (HCState.E, HCEvent.Load): "_hit_load",
+        (HCState.M, HCEvent.Load): "_hit_load",
+        (HCState.O, HCEvent.Load): "_hit_load",
+        (HCState.M, HCEvent.Store): "_m_store",
+        (HCState.E, HCEvent.Store): "_e_store",
+        (HCState.S, HCEvent.Store): "_s_store",
+        (HCState.O, HCEvent.Store): "_o_store",
         # replacements
-        t[(S.S, E.Replacement)] = self._s_repl
-        t[(S.E, E.Replacement)] = self._e_repl
-        t[(S.M, E.Replacement)] = self._m_repl
-        t[(S.O, E.Replacement)] = self._o_repl
+        (HCState.S, HCEvent.Replacement): "_s_repl",
+        (HCState.E, HCEvent.Replacement): "_e_repl",
+        (HCState.M, HCEvent.Replacement): "_m_repl",
+        (HCState.O, HCEvent.Replacement): "_o_repl",
         # probes on stable states
-        t[(S.I, E.Fwd_GetS)] = self._ack_probe
-        t[(S.I, E.Fwd_GetM)] = self._ack_probe
-        t[(S.I, E.Fwd_GetS_Only)] = self._ack_probe
-        t[(S.S, E.Fwd_GetS)] = self._shared_ack
-        t[(S.S, E.Fwd_GetS_Only)] = self._shared_ack
-        t[(S.S, E.Fwd_GetM)] = self._s_fwd_getm
-        t[(S.E, E.Fwd_GetS)] = self._e_fwd_gets
-        t[(S.E, E.Fwd_GetS_Only)] = self._e_fwd_gets_only
-        t[(S.E, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.M, E.Fwd_GetS)] = self._m_fwd_gets
-        t[(S.M, E.Fwd_GetS_Only)] = self._m_fwd_gets
-        t[(S.M, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.O, E.Fwd_GetS)] = self._o_fwd_gets
-        t[(S.O, E.Fwd_GetS_Only)] = self._o_fwd_gets
-        t[(S.O, E.Fwd_GetM)] = self._owner_fwd_getm
+        (HCState.I, HCEvent.Fwd_GetS): "_ack_probe",
+        (HCState.I, HCEvent.Fwd_GetM): "_ack_probe",
+        (HCState.I, HCEvent.Fwd_GetS_Only): "_ack_probe",
+        (HCState.S, HCEvent.Fwd_GetS): "_shared_ack",
+        (HCState.S, HCEvent.Fwd_GetS_Only): "_shared_ack",
+        (HCState.S, HCEvent.Fwd_GetM): "_s_fwd_getm",
+        (HCState.E, HCEvent.Fwd_GetS): "_e_fwd_gets",
+        (HCState.E, HCEvent.Fwd_GetS_Only): "_e_fwd_gets_only",
+        (HCState.E, HCEvent.Fwd_GetM): "_owner_fwd_getm",
+        (HCState.M, HCEvent.Fwd_GetS): "_m_fwd_gets",
+        (HCState.M, HCEvent.Fwd_GetS_Only): "_m_fwd_gets",
+        (HCState.M, HCEvent.Fwd_GetM): "_owner_fwd_getm",
+        (HCState.O, HCEvent.Fwd_GetS): "_o_fwd_gets",
+        (HCState.O, HCEvent.Fwd_GetS_Only): "_o_fwd_gets",
+        (HCState.O, HCEvent.Fwd_GetM): "_owner_fwd_getm",
         # probes on transients
-        for st in (S.IS_AD, S.IM_AD, S.II_A):
-            t[(st, E.Fwd_GetS)] = self._ack_probe
-            t[(st, E.Fwd_GetS_Only)] = self._ack_probe
-            t[(st, E.Fwd_GetM)] = self._ack_probe
-        t[(S.SM_AD, E.Fwd_GetS)] = self._shared_ack
-        t[(S.SM_AD, E.Fwd_GetS_Only)] = self._shared_ack
-        t[(S.SM_AD, E.Fwd_GetM)] = self._smad_fwd_getm
-        t[(S.OM_A, E.Fwd_GetS)] = self._oma_fwd_gets
-        t[(S.OM_A, E.Fwd_GetS_Only)] = self._oma_fwd_gets
-        t[(S.OM_A, E.Fwd_GetM)] = self._oma_fwd_getm
-        t[(S.MI_A, E.Fwd_GetS)] = self._replacing_owner_gets
-        t[(S.MI_A, E.Fwd_GetS_Only)] = self._replacing_owner_gets
-        t[(S.MI_A, E.Fwd_GetM)] = self._replacing_owner_getm
-        t[(S.OI_A, E.Fwd_GetS)] = self._replacing_owner_gets
-        t[(S.OI_A, E.Fwd_GetS_Only)] = self._replacing_owner_gets
-        t[(S.OI_A, E.Fwd_GetM)] = self._replacing_owner_getm
-        t[(S.EI_A, E.Fwd_GetS)] = self._eia_fwd_gets
-        t[(S.EI_A, E.Fwd_GetS_Only)] = self._eia_fwd_gets_only
-        t[(S.EI_A, E.Fwd_GetM)] = self._replacing_owner_getm
+        **{(st, ev): "_ack_probe"
+           for st in (HCState.IS_AD, HCState.IM_AD, HCState.II_A)
+           for ev in (HCEvent.Fwd_GetS, HCEvent.Fwd_GetS_Only, HCEvent.Fwd_GetM)},
+        (HCState.SM_AD, HCEvent.Fwd_GetS): "_shared_ack",
+        (HCState.SM_AD, HCEvent.Fwd_GetS_Only): "_shared_ack",
+        (HCState.SM_AD, HCEvent.Fwd_GetM): "_smad_fwd_getm",
+        (HCState.OM_A, HCEvent.Fwd_GetS): "_oma_fwd_gets",
+        (HCState.OM_A, HCEvent.Fwd_GetS_Only): "_oma_fwd_gets",
+        (HCState.OM_A, HCEvent.Fwd_GetM): "_oma_fwd_getm",
+        (HCState.MI_A, HCEvent.Fwd_GetS): "_replacing_owner_gets",
+        (HCState.MI_A, HCEvent.Fwd_GetS_Only): "_replacing_owner_gets",
+        (HCState.MI_A, HCEvent.Fwd_GetM): "_replacing_owner_getm",
+        (HCState.OI_A, HCEvent.Fwd_GetS): "_replacing_owner_gets",
+        (HCState.OI_A, HCEvent.Fwd_GetS_Only): "_replacing_owner_gets",
+        (HCState.OI_A, HCEvent.Fwd_GetM): "_replacing_owner_getm",
+        (HCState.EI_A, HCEvent.Fwd_GetS): "_eia_fwd_gets",
+        (HCState.EI_A, HCEvent.Fwd_GetS_Only): "_eia_fwd_gets_only",
+        (HCState.EI_A, HCEvent.Fwd_GetM): "_replacing_owner_getm",
         # response collection
-        for st in _COLLECTING:
-            t[(st, E.PeerAck)] = self._collect
-            t[(st, E.PeerData)] = self._collect
-            t[(st, E.PeerDataExcl)] = self._collect
-            t[(st, E.MemData)] = self._collect
+        **{(st, ev): "_collect"
+           for st in _COLLECTING
+           for ev in (HCEvent.PeerAck, HCEvent.PeerData, HCEvent.PeerDataExcl,
+                      HCEvent.MemData)},
+        # writeback completion
+        (HCState.MI_A, HCEvent.WBAck): "_wb_send_data",
+        (HCState.OI_A, HCEvent.WBAck): "_wb_send_data",
+        (HCState.EI_A, HCEvent.WBAck): "_wb_send_data",
+        (HCState.II_A, HCEvent.WBNack): "_wb_nacked",
+        # unexpected Nacks (sunk only in xg_tolerant hosts, Section 3.2.1)
+        (HCState.I, HCEvent.WBNack): "_sink_nack",
+        (HCState.S, HCEvent.WBNack): "_sink_nack",
+    }
+    COVERAGE_EXEMPT = frozenset({
         # Exclusive-clean transfers only answer GetS, and an O upgrader can
         # never see peer data (it is the owner); keep the defensive rows
         # but exclude them from the coverage denominator.
-        self.coverage_exempt |= {
-            (S.IM_AD, E.PeerDataExcl),
-            (S.SM_AD, E.PeerDataExcl),
-            (S.OM_A, E.PeerDataExcl),
-            (S.OM_A, E.PeerData),
-        }
-        # writeback completion
-        t[(S.MI_A, E.WBAck)] = self._wb_send_data
-        t[(S.OI_A, E.WBAck)] = self._wb_send_data
-        t[(S.EI_A, E.WBAck)] = self._wb_send_data
-        t[(S.II_A, E.WBNack)] = self._wb_nacked
-        # unexpected Nacks (sunk only in xg_tolerant hosts, Section 3.2.1)
-        t[(S.I, E.WBNack)] = self._sink_nack
-        t[(S.S, E.WBNack)] = self._sink_nack
-        self.coverage_exempt |= {(S.I, E.WBNack), (S.S, E.WBNack)}
+        (HCState.IM_AD, HCEvent.PeerDataExcl),
+        (HCState.SM_AD, HCEvent.PeerDataExcl),
+        (HCState.OM_A, HCEvent.PeerDataExcl),
+        (HCState.OM_A, HCEvent.PeerData),
+        # unexpected Nacks, sunk only in xg_tolerant hosts
+        (HCState.I, HCEvent.WBNack),
+        (HCState.S, HCEvent.WBNack),
+    })
 
     # -- CPU ops --------------------------------------------------------------------
 

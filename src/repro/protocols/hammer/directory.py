@@ -122,18 +122,17 @@ class HammerDirectory(CoherenceController):
 
     # -- transition table -----------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = DirState, DirEvent
-        t[(S.IDLE, E.GetS)] = self._get
-        t[(S.IDLE, E.GetM)] = self._get
-        t[(S.IDLE, E.GetS_Only)] = self._get
-        t[(S.IDLE, E.PutOwner)] = self._put_owner
-        t[(S.IDLE, E.PutStale)] = self._put_stale
-        t[(S.BUSY, E.UnblockS)] = self._unblock_shared
-        t[(S.BUSY, E.UnblockE)] = self._unblock_exclusive
-        t[(S.BUSY, E.UnblockM)] = self._unblock_exclusive
-        t[(S.WB, E.WBData)] = self._wb_data
+    TRANSITIONS = {
+        (DirState.IDLE, DirEvent.GetS): "_get",
+        (DirState.IDLE, DirEvent.GetM): "_get",
+        (DirState.IDLE, DirEvent.GetS_Only): "_get",
+        (DirState.IDLE, DirEvent.PutOwner): "_put_owner",
+        (DirState.IDLE, DirEvent.PutStale): "_put_stale",
+        (DirState.BUSY, DirEvent.UnblockS): "_unblock_shared",
+        (DirState.BUSY, DirEvent.UnblockE): "_unblock_exclusive",
+        (DirState.BUSY, DirEvent.UnblockM): "_unblock_exclusive",
+        (DirState.WB, DirEvent.WBData): "_wb_data",
+    }
 
     # -- handlers ------------------------------------------------------------------------
 

@@ -175,54 +175,53 @@ class MesiL1(CacheControllerBase):
 
     # -- transition table ----------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = L1State, L1Event
+    TRANSITIONS = {
         # CPU requests on stable states
-        t[(S.I, E.Load)] = self._i_load
-        t[(S.I, E.Store)] = self._i_store
-        t[(S.S, E.Load)] = self._hit_load
-        t[(S.S, E.Store)] = self._s_store
-        t[(S.E, E.Load)] = self._hit_load
-        t[(S.E, E.Store)] = self._e_store
-        t[(S.M, E.Load)] = self._hit_load
-        t[(S.M, E.Store)] = self._m_store
+        (L1State.I, L1Event.Load): "_i_load",
+        (L1State.I, L1Event.Store): "_i_store",
+        (L1State.S, L1Event.Load): "_hit_load",
+        (L1State.S, L1Event.Store): "_s_store",
+        (L1State.E, L1Event.Load): "_hit_load",
+        (L1State.E, L1Event.Store): "_e_store",
+        (L1State.M, L1Event.Load): "_hit_load",
+        (L1State.M, L1Event.Store): "_m_store",
         # replacements
-        t[(S.S, E.Replacement)] = self._s_repl
-        t[(S.E, E.Replacement)] = self._e_repl
-        t[(S.M, E.Replacement)] = self._m_repl
+        (L1State.S, L1Event.Replacement): "_s_repl",
+        (L1State.E, L1Event.Replacement): "_e_repl",
+        (L1State.M, L1Event.Replacement): "_m_repl",
         # data/ack responses
-        t[(S.IS_D, E.DataS)] = self._isd_data_s
-        t[(S.IS_D, E.DataE)] = self._isd_data_e
-        t[(S.IS_D, E.DataM)] = self._isd_data_m
-        t[(S.IM_AD, E.DataM)] = self._imad_data_m
-        t[(S.IM_AD, E.InvAck)] = self._count_ack
-        t[(S.IM_A, E.InvAck)] = self._ima_ack
-        t[(S.SM_AD, E.DataM)] = self._imad_data_m
-        t[(S.SM_AD, E.InvAck)] = self._count_ack
-        t[(S.SM_A, E.InvAck)] = self._ima_ack
-        t[(S.SM_AD, E.Inv)] = self._smad_inv
+        (L1State.IS_D, L1Event.DataS): "_isd_data_s",
+        (L1State.IS_D, L1Event.DataE): "_isd_data_e",
+        (L1State.IS_D, L1Event.DataM): "_isd_data_m",
+        (L1State.IM_AD, L1Event.DataM): "_imad_data_m",
+        (L1State.IM_AD, L1Event.InvAck): "_count_ack",
+        (L1State.IM_A, L1Event.InvAck): "_ima_ack",
+        (L1State.SM_AD, L1Event.DataM): "_imad_data_m",
+        (L1State.SM_AD, L1Event.InvAck): "_count_ack",
+        (L1State.SM_A, L1Event.InvAck): "_ima_ack",
+        (L1State.SM_AD, L1Event.Inv): "_smad_inv",
         # forwards on stable states
-        t[(S.S, E.Inv)] = self._s_inv
-        t[(S.E, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.M, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.E, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.M, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.E, E.Recall)] = self._owner_recall
-        t[(S.M, E.Recall)] = self._owner_recall
+        (L1State.S, L1Event.Inv): "_s_inv",
+        (L1State.E, L1Event.Fwd_GetS): "_owner_fwd_gets",
+        (L1State.M, L1Event.Fwd_GetS): "_owner_fwd_gets",
+        (L1State.E, L1Event.Fwd_GetM): "_owner_fwd_getm",
+        (L1State.M, L1Event.Fwd_GetM): "_owner_fwd_getm",
+        (L1State.E, L1Event.Recall): "_owner_recall",
+        (L1State.M, L1Event.Recall): "_owner_recall",
         # writeback transients
-        t[(S.MI_A, E.WBAck)] = self._wb_done
-        t[(S.EI_A, E.WBAck)] = self._wb_done
-        t[(S.SI_A, E.WBAck)] = self._wb_done
-        t[(S.MI_A, E.Fwd_GetS)] = self._replacing_fwd_gets
-        t[(S.EI_A, E.Fwd_GetS)] = self._replacing_fwd_gets
-        t[(S.MI_A, E.Fwd_GetM)] = self._replacing_fwd_getm
-        t[(S.EI_A, E.Fwd_GetM)] = self._replacing_fwd_getm
-        t[(S.MI_A, E.Recall)] = self._replacing_recall
-        t[(S.EI_A, E.Recall)] = self._replacing_recall
-        t[(S.SI_A, E.Inv)] = self._sia_inv
-        t[(S.II_A, E.Inv)] = self._iia_inv
-        t[(S.II_A, E.WBNack)] = self._wb_done
+        (L1State.MI_A, L1Event.WBAck): "_wb_done",
+        (L1State.EI_A, L1Event.WBAck): "_wb_done",
+        (L1State.SI_A, L1Event.WBAck): "_wb_done",
+        (L1State.MI_A, L1Event.Fwd_GetS): "_replacing_fwd_gets",
+        (L1State.EI_A, L1Event.Fwd_GetS): "_replacing_fwd_gets",
+        (L1State.MI_A, L1Event.Fwd_GetM): "_replacing_fwd_getm",
+        (L1State.EI_A, L1Event.Fwd_GetM): "_replacing_fwd_getm",
+        (L1State.MI_A, L1Event.Recall): "_replacing_recall",
+        (L1State.EI_A, L1Event.Recall): "_replacing_recall",
+        (L1State.SI_A, L1Event.Inv): "_sia_inv",
+        (L1State.II_A, L1Event.Inv): "_iia_inv",
+        (L1State.II_A, L1Event.WBNack): "_wb_done",
+    }
 
     # -- CPU request handlers ---------------------------------------------------
 

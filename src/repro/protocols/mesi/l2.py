@@ -179,36 +179,35 @@ class MesiL2(CoherenceController):
 
     # -- transition table ----------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = L2State, L2Event
-        t[(S.NP, E.GetS)] = self._np_get
-        t[(S.NP, E.GetM)] = self._np_get
-        t[(S.NP, E.GetS_Only)] = self._np_get
-        t[(S.V, E.GetS)] = self._v_gets
-        t[(S.V, E.GetS_Only)] = self._v_gets_only
-        t[(S.V, E.GetM)] = self._v_getm
-        t[(S.X, E.GetS)] = self._x_gets
-        t[(S.X, E.GetS_Only)] = self._x_gets
-        t[(S.X, E.GetM)] = self._x_getm
-        t[(S.V, E.PutS)] = self._v_puts
-        t[(S.X, E.PutM)] = self._x_put
-        t[(S.X, E.PutE)] = self._x_put
-        t[(S.NP, E.PutStale)] = self._put_stale
-        t[(S.V, E.PutStale)] = self._put_stale
-        t[(S.X, E.PutStale)] = self._put_stale
-        t[(S.IV, E.MemData)] = self._iv_mem_data
-        t[(S.BUSY, E.UnblockS)] = self._busy_unblock
-        t[(S.BUSY, E.UnblockX)] = self._busy_unblock
-        t[(S.BUSY, E.CopyBack)] = self._busy_copyback
-        t[(S.EV_ACK, E.InvAck)] = self._ev_ack
-        t[(S.EV_ACK, E.CopyBack)] = self._ev_ack_copyback
-        t[(S.EV_DATA, E.CopyBackInv)] = self._ev_data
-        t[(S.V, E.Replacement)] = self._v_repl
-        t[(S.X, E.Replacement)] = self._x_repl
-        # Reachable only via a misbehaving accelerator behind Transactional
-        # XG (Section 3.2.2 tolerance); excluded from baseline coverage.
-        self.coverage_exempt.add((S.EV_ACK, E.CopyBack))
+    TRANSITIONS = {
+        (L2State.NP, L2Event.GetS): "_np_get",
+        (L2State.NP, L2Event.GetM): "_np_get",
+        (L2State.NP, L2Event.GetS_Only): "_np_get",
+        (L2State.V, L2Event.GetS): "_v_gets",
+        (L2State.V, L2Event.GetS_Only): "_v_gets_only",
+        (L2State.V, L2Event.GetM): "_v_getm",
+        (L2State.X, L2Event.GetS): "_x_gets",
+        (L2State.X, L2Event.GetS_Only): "_x_gets",
+        (L2State.X, L2Event.GetM): "_x_getm",
+        (L2State.V, L2Event.PutS): "_v_puts",
+        (L2State.X, L2Event.PutM): "_x_put",
+        (L2State.X, L2Event.PutE): "_x_put",
+        (L2State.NP, L2Event.PutStale): "_put_stale",
+        (L2State.V, L2Event.PutStale): "_put_stale",
+        (L2State.X, L2Event.PutStale): "_put_stale",
+        (L2State.IV, L2Event.MemData): "_iv_mem_data",
+        (L2State.BUSY, L2Event.UnblockS): "_busy_unblock",
+        (L2State.BUSY, L2Event.UnblockX): "_busy_unblock",
+        (L2State.BUSY, L2Event.CopyBack): "_busy_copyback",
+        (L2State.EV_ACK, L2Event.InvAck): "_ev_ack",
+        (L2State.EV_ACK, L2Event.CopyBack): "_ev_ack_copyback",
+        (L2State.EV_DATA, L2Event.CopyBackInv): "_ev_data",
+        (L2State.V, L2Event.Replacement): "_v_repl",
+        (L2State.X, L2Event.Replacement): "_x_repl",
+    }
+    # Reachable only via a misbehaving accelerator behind Transactional
+    # XG (Section 3.2.2 tolerance); excluded from baseline coverage.
+    COVERAGE_EXEMPT = frozenset({(L2State.EV_ACK, L2Event.CopyBack)})
 
     # -- request handlers ----------------------------------------------------------
 

@@ -151,68 +151,77 @@ class MesifL1(CacheControllerBase):
 
     # -- transition table ----------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = FL1State, FL1Event
-        t[(S.I, E.Load)] = self._i_load
-        t[(S.I, E.Store)] = self._i_store
-        for shared in (S.S, S.F):
-            t[(shared, E.Load)] = self._hit_load
-            t[(shared, E.Store)] = self._shared_store
-            t[(shared, E.Replacement)] = self._silent_evict
-            t[(shared, E.Inv)] = self._shared_inv
-        t[(S.E, E.Load)] = self._hit_load
-        t[(S.E, E.Store)] = self._e_store
-        t[(S.M, E.Load)] = self._hit_load
-        t[(S.M, E.Store)] = self._m_store
-        t[(S.E, E.Replacement)] = self._e_repl
-        t[(S.M, E.Replacement)] = self._m_repl
+    TRANSITIONS = {
+        (FL1State.I, FL1Event.Load): "_i_load",
+        (FL1State.I, FL1Event.Store): "_i_store",
+        (FL1State.S, FL1Event.Load): "_hit_load",
+        (FL1State.S, FL1Event.Store): "_shared_store",
+        (FL1State.S, FL1Event.Replacement): "_silent_evict",
+        (FL1State.S, FL1Event.Inv): "_shared_inv",
+        (FL1State.F, FL1Event.Load): "_hit_load",
+        (FL1State.F, FL1Event.Store): "_shared_store",
+        (FL1State.F, FL1Event.Replacement): "_silent_evict",
+        (FL1State.F, FL1Event.Inv): "_shared_inv",
+        (FL1State.E, FL1Event.Load): "_hit_load",
+        (FL1State.E, FL1Event.Store): "_e_store",
+        (FL1State.M, FL1Event.Load): "_hit_load",
+        (FL1State.M, FL1Event.Store): "_m_store",
+        (FL1State.E, FL1Event.Replacement): "_e_repl",
+        (FL1State.M, FL1Event.Replacement): "_m_repl",
         # silent-eviction consequences: stale records at the L2 mean an
         # Inv / F-forward can arrive in I or in a fill transient (the
         # paper's "ISI" scenario: invalidation before the data). The data
         # we are waiting on belongs to a LATER transaction than the Inv
         # (blocking L2), so ack-and-stay is sufficient.
-        t[(S.I, E.Inv)] = self._stale_inv
-        t[(S.I, E.Fwd_GetS_F)] = self._fnack
-        t[(S.S, E.Fwd_GetS_F)] = self._fnack  # F moved on; defensive
-        for filling in (S.IS_D, S.IM_AD, S.IM_A):
-            t[(filling, E.Inv)] = self._stale_inv
-            t[(filling, E.Fwd_GetS_F)] = self._fnack
+        (FL1State.I, FL1Event.Inv): "_stale_inv",
+        (FL1State.I, FL1Event.Fwd_GetS_F): "_fnack",
+        (FL1State.S, FL1Event.Fwd_GetS_F): "_fnack",  # F moved on; defensive
+        (FL1State.IS_D, FL1Event.Inv): "_stale_inv",
+        (FL1State.IS_D, FL1Event.Fwd_GetS_F): "_fnack",
+        (FL1State.IM_AD, FL1Event.Inv): "_stale_inv",
+        (FL1State.IM_AD, FL1Event.Fwd_GetS_F): "_fnack",
+        (FL1State.IM_A, FL1Event.Inv): "_stale_inv",
+        (FL1State.IM_A, FL1Event.Fwd_GetS_F): "_fnack",
         # the F responder role
-        t[(S.F, E.Fwd_GetS_F)] = self._serve_f
-        t[(S.SM_AD, E.Fwd_GetS_F)] = self._serve_f
+        (FL1State.F, FL1Event.Fwd_GetS_F): "_serve_f",
+        (FL1State.SM_AD, FL1Event.Fwd_GetS_F): "_serve_f",
         # fills
-        t[(S.IS_D, E.DataS)] = self._fill_s
-        t[(S.IS_D, E.DataF)] = self._fill_f
-        t[(S.IS_D, E.DataE)] = self._fill_e
-        t[(S.IS_D, E.DataM)] = self._fill_m
-        t[(S.IM_AD, E.DataM)] = self._getm_data
-        t[(S.IM_AD, E.InvAck)] = self._count_ack
-        t[(S.IM_A, E.InvAck)] = self._ack_maybe_done
-        t[(S.SM_AD, E.DataM)] = self._getm_data
-        t[(S.SM_AD, E.InvAck)] = self._count_ack
-        t[(S.SM_A, E.InvAck)] = self._ack_maybe_done
-        t[(S.SM_AD, E.Inv)] = self._smad_inv
+        (FL1State.IS_D, FL1Event.DataS): "_fill_s",
+        (FL1State.IS_D, FL1Event.DataF): "_fill_f",
+        (FL1State.IS_D, FL1Event.DataE): "_fill_e",
+        (FL1State.IS_D, FL1Event.DataM): "_fill_m",
+        (FL1State.IM_AD, FL1Event.DataM): "_getm_data",
+        (FL1State.IM_AD, FL1Event.InvAck): "_count_ack",
+        (FL1State.IM_A, FL1Event.InvAck): "_ack_maybe_done",
+        (FL1State.SM_AD, FL1Event.DataM): "_getm_data",
+        (FL1State.SM_AD, FL1Event.InvAck): "_count_ack",
+        (FL1State.SM_A, FL1Event.InvAck): "_ack_maybe_done",
+        (FL1State.SM_AD, FL1Event.Inv): "_smad_inv",
         # owner forwards
-        t[(S.E, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.M, E.Fwd_GetS)] = self._owner_fwd_gets
-        t[(S.E, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.M, E.Fwd_GetM)] = self._owner_fwd_getm
-        t[(S.E, E.Recall)] = self._owner_recall
-        t[(S.M, E.Recall)] = self._owner_recall
+        (FL1State.E, FL1Event.Fwd_GetS): "_owner_fwd_gets",
+        (FL1State.M, FL1Event.Fwd_GetS): "_owner_fwd_gets",
+        (FL1State.E, FL1Event.Fwd_GetM): "_owner_fwd_getm",
+        (FL1State.M, FL1Event.Fwd_GetM): "_owner_fwd_getm",
+        (FL1State.E, FL1Event.Recall): "_owner_recall",
+        (FL1State.M, FL1Event.Recall): "_owner_recall",
         # writeback transients
-        t[(S.MI_A, E.WBAck)] = self._wb_done
-        t[(S.EI_A, E.WBAck)] = self._wb_done
-        for wb in (S.MI_A, S.EI_A):
-            t[(wb, E.Fwd_GetS)] = self._replacing_fwd_gets
-            t[(wb, E.Fwd_GetM)] = self._replacing_fwd_getm
-            t[(wb, E.Recall)] = self._replacing_recall
-        t[(S.II_A, E.WBNack)] = self._wb_done
-        t[(S.II_A, E.Inv)] = self._iia_inv
-        self.coverage_exempt.add((S.S, E.Fwd_GetS_F))
+        (FL1State.MI_A, FL1Event.WBAck): "_wb_done",
+        (FL1State.EI_A, FL1Event.WBAck): "_wb_done",
+        (FL1State.MI_A, FL1Event.Fwd_GetS): "_replacing_fwd_gets",
+        (FL1State.MI_A, FL1Event.Fwd_GetM): "_replacing_fwd_getm",
+        (FL1State.MI_A, FL1Event.Recall): "_replacing_recall",
+        (FL1State.EI_A, FL1Event.Fwd_GetS): "_replacing_fwd_gets",
+        (FL1State.EI_A, FL1Event.Fwd_GetM): "_replacing_fwd_getm",
+        (FL1State.EI_A, FL1Event.Recall): "_replacing_recall",
+        (FL1State.II_A, FL1Event.WBNack): "_wb_done",
+        (FL1State.II_A, FL1Event.Inv): "_iia_inv",
+    }
+    COVERAGE_EXEMPT = frozenset({
+        (FL1State.S, FL1Event.Fwd_GetS_F),
         # Only GetS_Only is answered with DataS, and only Crossing Guard
         # issues GetS_Only — a host L1 never receives it.
-        self.coverage_exempt.add((S.IS_D, E.DataS))
+        (FL1State.IS_D, FL1Event.DataS),
+    })
 
     # -- CPU ops -----------------------------------------------------------------------
 

@@ -165,34 +165,34 @@ class MesifL2(CoherenceController):
 
     # -- transition table ------------------------------------------------------------------
 
-    def _build_transitions(self):
-        t = self.transitions
-        S, E = FL2State, FL2Event
-        t[(S.NP, E.GetS)] = self._np_get
-        t[(S.NP, E.GetM)] = self._np_get
-        t[(S.NP, E.GetS_Only)] = self._np_get
-        t[(S.V, E.GetS)] = self._v_gets
-        t[(S.V, E.GetS_Only)] = self._v_gets_only
-        t[(S.V, E.GetM)] = self._v_getm
-        t[(S.X, E.GetS)] = self._x_gets
-        t[(S.X, E.GetS_Only)] = self._x_gets
-        t[(S.X, E.GetM)] = self._x_getm
-        t[(S.X, E.PutE)] = self._x_put
-        t[(S.X, E.PutM)] = self._x_put
-        for st in (S.NP, S.V, S.X):
-            t[(st, E.PutStale)] = self._put_stale
-        t[(S.IV, E.MemData)] = self._iv_mem_data
-        t[(S.BUSY, E.UnblockS)] = self._busy_unblock
-        t[(S.BUSY, E.UnblockF)] = self._busy_unblock
-        t[(S.BUSY, E.UnblockX)] = self._busy_unblock
-        t[(S.BUSY, E.CopyBack)] = self._busy_copyback
-        t[(S.BUSY, E.FNack)] = self._busy_fnack
-        t[(S.EV_ACK, E.InvAck)] = self._ev_ack
-        t[(S.EV_ACK, E.CopyBack)] = self._ev_ack_copyback
-        t[(S.EV_DATA, E.CopyBackInv)] = self._ev_data
-        t[(S.V, E.Replacement)] = self._v_repl
-        t[(S.X, E.Replacement)] = self._x_repl
-        self.coverage_exempt.add((S.EV_ACK, E.CopyBack))
+    TRANSITIONS = {
+        (FL2State.NP, FL2Event.GetS): "_np_get",
+        (FL2State.NP, FL2Event.GetM): "_np_get",
+        (FL2State.NP, FL2Event.GetS_Only): "_np_get",
+        (FL2State.V, FL2Event.GetS): "_v_gets",
+        (FL2State.V, FL2Event.GetS_Only): "_v_gets_only",
+        (FL2State.V, FL2Event.GetM): "_v_getm",
+        (FL2State.X, FL2Event.GetS): "_x_gets",
+        (FL2State.X, FL2Event.GetS_Only): "_x_gets",
+        (FL2State.X, FL2Event.GetM): "_x_getm",
+        (FL2State.X, FL2Event.PutE): "_x_put",
+        (FL2State.X, FL2Event.PutM): "_x_put",
+        (FL2State.NP, FL2Event.PutStale): "_put_stale",
+        (FL2State.V, FL2Event.PutStale): "_put_stale",
+        (FL2State.X, FL2Event.PutStale): "_put_stale",
+        (FL2State.IV, FL2Event.MemData): "_iv_mem_data",
+        (FL2State.BUSY, FL2Event.UnblockS): "_busy_unblock",
+        (FL2State.BUSY, FL2Event.UnblockF): "_busy_unblock",
+        (FL2State.BUSY, FL2Event.UnblockX): "_busy_unblock",
+        (FL2State.BUSY, FL2Event.CopyBack): "_busy_copyback",
+        (FL2State.BUSY, FL2Event.FNack): "_busy_fnack",
+        (FL2State.EV_ACK, FL2Event.InvAck): "_ev_ack",
+        (FL2State.EV_ACK, FL2Event.CopyBack): "_ev_ack_copyback",
+        (FL2State.EV_DATA, FL2Event.CopyBackInv): "_ev_data",
+        (FL2State.V, FL2Event.Replacement): "_v_repl",
+        (FL2State.X, FL2Event.Replacement): "_x_repl",
+    }
+    COVERAGE_EXEMPT = frozenset({(FL2State.EV_ACK, FL2Event.CopyBack)})
 
     # -- gets -------------------------------------------------------------------------------
 

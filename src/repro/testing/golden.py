@@ -32,12 +32,15 @@ SCENARIOS = ("stress", "fuzz", "chaos")
 
 #: The (scenario, host, org, XG variant) cases whose digests are committed
 #: in ``tests/golden/digests.json``: stress over every host x org, fuzz over
-#: every host, and chaos on MESI under both XG variants.
+#: every host, chaos on MESI under both XG variants, and stress + fuzz on
+#: MESIF behind a Transactional XG (the F-state policy of the MESIF port).
 PINNED_CONFIGS = tuple(
     [("stress", host, org, XGVariant.FULL_STATE)
      for host in HostProtocol for org in AccelOrg]
     + [("fuzz", host, AccelOrg.XG, XGVariant.FULL_STATE) for host in HostProtocol]
     + [("chaos", HostProtocol.MESI, AccelOrg.XG, variant) for variant in XGVariant]
+    + [(scenario, HostProtocol.MESIF, AccelOrg.XG, XGVariant.TRANSACTIONAL)
+       for scenario in ("stress", "fuzz")]
 )
 
 

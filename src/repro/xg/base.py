@@ -4,9 +4,12 @@ One Crossing Guard instance fronts one accelerator. The accelerator side
 (this module) enforces the Figure 1 guarantees, owns the mirror directory
 (Full State variant), the probe timeout, and the one legal race — an
 accelerator Put passing a host Invalidate on the ordered accel network.
-The host side (``MesiCrossingGuard`` / ``HammerCrossingGuard``) makes XG
-look like an ordinary private cache to the host protocol and hides ack
-counting, forwards, and writeback races from the accelerator.
+The host side makes XG look like an ordinary private cache to the host
+protocol and hides ack counting, forwards, and writeback races from the
+accelerator. There are two host ports: ``HammerCrossingGuard`` and
+``MesiCrossingGuard``, whose subclass ``MesifCrossingGuard`` swaps in
+the MESIF message vocabulary and adds only the F-state policy. XG flows
+are explicit methods, so none of the ports declares a transition table.
 
 Transaction kinds (at most one open per accelerator block address):
 

@@ -35,9 +35,6 @@ class HammerCrossingGuard(CrossingGuardBase):
             HammerMsg.PeerAck: self._collect_peer_ack,
         }
 
-    def _build_transitions(self):
-        return
-
     def _to_dir(self, mtype, addr, port="request", **kw):
         return self.send_to_host(mtype, addr, self.dir_name, port, **kw)
 

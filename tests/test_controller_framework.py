@@ -32,15 +32,16 @@ class _Toy(CoherenceController):
     CONTROLLER_TYPE = "toy"
     PORTS = ("inbox",)
 
+    TRANSITIONS = {
+        (St.A, Ev.Go): "_go",
+        (St.A, Ev.Block): "_block",
+        (St.A, Ev.Free): "_free",
+    }
+
     def __init__(self, sim, name):
         self.blocked = set()
         self.processed = []
         super().__init__(sim, name)
-
-    def _build_transitions(self):
-        self.transitions[(St.A, Ev.Go)] = self._go
-        self.transitions[(St.A, Ev.Block)] = self._block
-        self.transitions[(St.A, Ev.Free)] = self._free
 
     def handle_message(self, port, msg):
         if msg.mtype is Ev.Go and msg.addr in self.blocked:
@@ -74,13 +75,18 @@ def test_fire_records_coverage():
     assert (St.A, Ev.Go) in ctrl.possible_transitions()
 
 
+class _ToyWithoutGo(_Toy):
+    """Same toy, declaring no (A, Go) row."""
+
+    TRANSITIONS = {
+        key: name for key, name in _Toy.TRANSITIONS.items() if key != (St.A, Ev.Go)
+    }
+
+
 def test_undefined_transition_raises_protocol_error():
     sim = Simulator()
-    ctrl = _Toy(sim, "toy")
-    # mutating the table at runtime requires a recompile, like a SLICC
-    # regeneration — the compiled fast path serves the flattened copy
-    del ctrl.transitions[(St.A, Ev.Go)]
-    ctrl.recompile_dispatch()
+    ctrl = _ToyWithoutGo(sim, "toy")
+    assert not ctrl.has_transition(St.A, Ev.Go)
     _send(ctrl, Ev.Go, 0x40)
     with pytest.raises(ProtocolError):
         sim.run()
@@ -173,10 +179,14 @@ def test_stalled_forever_is_a_deadlock():
     assert ctrl.oldest_pending_tick(sim.tick) is not None
 
 
+class _ToyFreeExempt(_Toy):
+    COVERAGE_EXEMPT = frozenset({(St.A, Ev.Free)})
+
+
 def test_coverage_exempt_excluded_from_denominator():
     sim = Simulator()
-    ctrl = _Toy(sim, "toy")
-    ctrl.coverage_exempt.add((St.A, Ev.Free))
+    ctrl = _ToyFreeExempt(sim, "toy")
+    assert ctrl.has_transition(St.A, Ev.Free)
     assert (St.A, Ev.Free) not in ctrl.possible_transitions()
     assert (St.A, Ev.Go) in ctrl.possible_transitions()
 
@@ -192,9 +202,6 @@ class _WakerDuringHandle(CoherenceController):
         self.log = []
         self.armed = False
         super().__init__(sim, name)
-
-    def _build_transitions(self):
-        return
 
     def handle_message(self, port, msg):
         self.log.append(msg.mtype)
@@ -228,9 +235,6 @@ class _Retrier(CoherenceController):
         self.attempts = 0
         self.ready = False
         super().__init__(sim, name)
-
-    def _build_transitions(self):
-        return
 
     def handle_message(self, port, msg):
         if msg.mtype == "unlock":

@@ -1,10 +1,12 @@
 """Differential test: compiled dispatch table vs the declared transitions.
 
-The compiled fast path flattens ``transitions`` into a dense per-state
-dict at ``recompile_dispatch`` time. These tests enumerate every compiled
-(state, event) entry of every controller in every built system and check
-it agrees with the declared ``has_transition`` / ``possible_transitions``
-view — same pairs, same bound handlers, nothing added, nothing dropped.
+Each controller class declares ``TRANSITIONS`` ((state, event) -> handler
+method name) once; the class flattens it into a dense per-state dict when
+it is defined. These tests enumerate every compiled (state, event) entry
+of every controller in every built system and check it agrees with the
+declared table and the ``has_transition`` / ``possible_transitions``
+view — same pairs, the handler each name resolves to on the concrete
+class, nothing added, nothing dropped.
 """
 
 import pytest
@@ -49,25 +51,28 @@ def test_compiled_table_matches_declared_transitions(host, org):
     system = build_system(_small_config(host, org))
     checked = 0
     for ctrl in system.controllers():
+        cls = type(ctrl)
         compiled = _compiled_pairs(ctrl)
-        declared = set(ctrl.transitions)
+        declared = set(cls.TRANSITIONS)
         # Same key set in both directions.
-        assert compiled == declared, (
+        assert compiled == declared == set(ctrl.transitions), (
             f"{ctrl.name}: compiled table diverged from declared transitions "
             f"(extra={compiled - declared}, missing={declared - compiled})"
         )
         for state, row in ctrl._dispatch.items():
             for event, (handler, key) in row.items():
-                # The flattened entry must bind the exact declared handler
-                # and carry the pre-made coverage key.
+                # The flattened entry must hold the function the declared
+                # name resolves to on the concrete class, and carry the
+                # pre-made coverage key.
                 assert ctrl.has_transition(state, event)
+                assert handler is getattr(cls, cls.TRANSITIONS[(state, event)])
                 assert handler is ctrl.transitions[(state, event)], (
                     f"{ctrl.name}: ({state}, {event}) bound to a different handler"
                 )
                 assert key == (state, event)
                 checked += 1
         # The coverage denominator view is unchanged by compilation.
-        assert ctrl.possible_transitions() == declared - ctrl.coverage_exempt
+        assert ctrl.possible_transitions() == declared - cls.COVERAGE_EXEMPT
     # Table-driven hosts contribute hundreds of pairs; XG controllers are
     # intentionally method-driven (empty tables) and contribute zero.
     assert checked == sum(len(c.transitions) for c in system.controllers())
@@ -78,22 +83,9 @@ def test_compiled_fire_installed_per_instance(host):
     system = build_system(_small_config(host, AccelOrg.XG))
     closures = set()
     for ctrl in system.controllers():
-        # Each instance carries its own closure over its flattened table.
+        # Each instance carries its own closure over its class's shared table.
         assert "fire" in ctrl.__dict__
         assert not hasattr(type(ctrl), "fire")
         closures.add(id(ctrl.fire))
     assert len(closures) == len(system.controllers())
 
-
-def test_recompile_tracks_runtime_table_edits():
-    """Mutating ``transitions`` then recompiling keeps the views in sync."""
-    system = build_system(_small_config(HostProtocol.MESI, AccelOrg.XG))
-    ctrl = system.cpu_caches[0]
-    key = next(iter(ctrl.transitions))
-    handler = ctrl.transitions.pop(key)
-    ctrl.recompile_dispatch()
-    assert key not in _compiled_pairs(ctrl)
-    ctrl.transitions[key] = handler
-    ctrl.recompile_dispatch()
-    assert key in _compiled_pairs(ctrl)
-    assert ctrl._dispatch[key[0]][key[1]][0] is handler

@@ -3,8 +3,8 @@
 Seed-run digests (transition sequence, final memory image, stats) for
 every :data:`~repro.testing.golden.PINNED_CONFIGS` case are committed in
 ``tests/golden/digests.json``: stress over all hosts x accelerator
-organizations, fuzz over all hosts, and chaos on MESI under both XG
-variants. The entries were generated while the compiled transition
+organizations, fuzz over all hosts, chaos on MESI under both XG
+variants, and stress + fuzz on MESIF behind a Transactional XG. The entries were generated while the compiled transition
 dispatch was still proven step-for-step identical to the interpreted
 table lookup it replaced, so they carry that proof forward. Any change
 that perturbs a transition sequence fails here until the digests are

@@ -20,9 +20,6 @@ class _Counter(CoherenceController):
         self.handled_at = []
         super().__init__(sim, name)
 
-    def _build_transitions(self):
-        return
-
     def handle_message(self, port, msg):
         self.handled_at.append(self.sim.tick)
         return CONSUMED
