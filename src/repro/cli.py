@@ -648,12 +648,14 @@ def _cmd_explore(args):
             start = time.perf_counter()
             progress = None
             if args.progress:
-                def progress(depth, states, frontier, _cell=f"{host}/{variant}",
-                             _start=start):
+                def progress(depth, states, frontier, phases,
+                             _cell=f"{host}/{variant}", _start=start):
                     rate = states / max(time.perf_counter() - _start, 1e-9)
+                    split = " ".join(f"{name} {seconds:.2f}s"
+                                     for name, seconds in phases.items())
                     print(f"  {_cell}: depth {depth}, {states} states, "
-                          f"frontier {frontier}, {rate:.1f} states/s",
-                          file=sys.stderr, flush=True)
+                          f"frontier {frontier}, {rate:.1f} states/s "
+                          f"[{split}]", file=sys.stderr, flush=True)
             result = explore_cell(
                 host=host, variant=variant, addresses=args.addresses,
                 workers=workers, max_states=args.max_states,
@@ -1085,7 +1087,10 @@ def build_parser():
                          default=200,
                          help="ops per cross-check stress run")
     explore.add_argument("--progress", action="store_true",
-                         help="per-level progress on stderr")
+                         help="per-level progress on stderr, with the "
+                              "level's seconds per expansion phase (replay, "
+                              "restore, apply+settle, canonical, checks; "
+                              "summed over workers)")
     explore.add_argument("-o", "--out", default=None, metavar="PATH",
                          help="write explore_report.json (feed to "
                               "`repro report --explore-report`)")

@@ -15,7 +15,9 @@ Semantics mirror gem5 Ruby's generated controllers:
 from collections import defaultdict, deque
 from types import MappingProxyType
 
+from repro.coherence.snapshot import snap_cache_entry, snap_message, snap_tbe
 from repro.sim.component import Component
+from repro.sim.image import copy_value
 
 CONSUMED = "consumed"
 STALL = "stall"
@@ -216,9 +218,6 @@ class CoherenceController(Component):
         (e.g. a directory's owner map, the XG mirror) extend it via
         :meth:`snapshot_extra`.
         """
-        from repro.coherence.snapshot import (
-            snap_cache_entry, snap_message, snap_tbe)
-
         snap = {}
         cache = getattr(self, "cache", None)
         if cache is not None:
@@ -247,6 +246,45 @@ class CoherenceController(Component):
     def snapshot_extra(self):
         """Per-protocol additions to :meth:`snapshot_state` (default none)."""
         return {}
+
+    # -- state images -------------------------------------------------------------
+
+    def save_state(self, memo):
+        """Base image plus cache, TBEs, stall buffers, coverage and busy time.
+
+        Unlike :meth:`snapshot_state` this is exact: ticks, uids and LRU
+        clocks are kept, because a restored controller must behave as
+        the saved one would have.
+        """
+        image = super().save_state(memo)
+        image["coverage"] = dict(self.coverage)
+        image["stalled"] = copy_value(self._stalled, memo)
+        image["stalled_since"] = dict(self._stalled_since)
+        image["stalled_total"] = self._stalled_total
+        image["busy_until"] = self._busy_until
+        image["protocol_errors"] = copy_value(self.protocol_errors, memo)
+        cache = getattr(self, "cache", None)
+        if cache is not None:
+            image["cache"] = cache.save_state(memo)
+        tbes = getattr(self, "tbes", None)
+        if tbes is not None:
+            image["tbes"] = tbes.save_state(memo)
+        return image
+
+    def restore_state(self, image, memo):
+        super().restore_state(image, memo)
+        # the fire closure holds this dict: refill, never rebind
+        self.coverage.clear()
+        self.coverage.update(image["coverage"])
+        self._stalled = copy_value(image["stalled"], memo)
+        self._stalled_since = dict(image["stalled_since"])
+        self._stalled_total = image["stalled_total"]
+        self._busy_until = image["busy_until"]
+        self.protocol_errors[:] = copy_value(image["protocol_errors"], memo)
+        if "cache" in image:
+            self.cache.restore_state(image["cache"], memo)
+        if "tbes" in image:
+            self.tbes.restore_state(image["tbes"], memo)
 
     # -- stall-and-wait ---------------------------------------------------------
 

@@ -7,7 +7,10 @@ Crossing Guard sizes its table to bound the state a misbehaving accelerator
 can pin (Section 2.3.2).
 """
 
+from repro.sim.image import copy_value, image_slots
 
+
+@image_slots
 class TBE:
     """State for one open transaction on one block address."""
 
@@ -96,6 +99,14 @@ class TBETable:
 
     def addresses(self):
         return list(self._entries)
+
+    def save_state(self, memo):
+        """Open TBEs (copied, see repro.sim.image) and the high-water mark."""
+        return (copy_value(self._entries, memo), self.high_water)
+
+    def restore_state(self, image, memo):
+        entries, self.high_water = image
+        self._entries = copy_value(entries, memo)
 
     def __repr__(self):
         return f"TBETable({self.name!r}, open={len(self._entries)}, cap={self.capacity})"

@@ -10,9 +10,11 @@ load/store stream is what exercises the protocols.
 
 from repro.protocols.common import CpuOp
 from repro.sim.component import Component
+from repro.sim.image import copy_value, image_slots
 from repro.sim.message import Message
 
 
+@image_slots
 class OutstandingOp:
     """Bookkeeping for one in-flight load or store."""
 
@@ -128,6 +130,16 @@ class Sequencer(Component):
         if not self.outstanding:
             return None
         return min(record.issued_at for record in self.outstanding.values())
+
+    def save_state(self, memo):
+        """Base image plus the outstanding ops (uid-keyed, messages cloned)."""
+        image = super().save_state(memo)
+        image["outstanding"] = copy_value(self.outstanding, memo)
+        return image
+
+    def restore_state(self, image, memo):
+        super().restore_state(image, memo)
+        self.outstanding = copy_value(image["outstanding"], memo)
 
     def snapshot_state(self):
         """Logical outstanding-op set for the reachability explorer.

@@ -6,8 +6,10 @@ block, and arbitrary per-protocol metadata (sharer sets, permission bits).
 """
 
 from repro.memory.datablock import BLOCK_SIZE, DataBlock, block_align
+from repro.sim.image import copy_value, image_slots
 
 
+@image_slots
 class CacheEntry:
     """One resident cache block."""
 
@@ -96,6 +98,16 @@ class CacheArray:
         if not target_set:
             return None
         return min(target_set.values(), key=lambda entry: entry.last_use)
+
+    # -- state images (see repro.sim.image) -----------------------------------
+
+    def save_state(self, memo):
+        """Resident entries per set, LRU clocks included (victims use them)."""
+        return (copy_value(self._sets, memo), self._use_clock)
+
+    def restore_state(self, image, memo):
+        sets, self._use_clock = image
+        self._sets = copy_value(sets, memo)
 
     # -- inspection -----------------------------------------------------------
 

@@ -5,6 +5,8 @@ and checks single bytes; the Crossing Guard block-size translator merges and
 splits whole blocks (Section 2.5 of the paper).
 """
 
+from repro.sim.image import image_slots
+
 BLOCK_SIZE = 64
 
 
@@ -18,6 +20,7 @@ def block_offset(addr, block_size=BLOCK_SIZE):
     return addr % block_size
 
 
+@image_slots
 class DataBlock:
     """Fixed-size mutable data payload with value semantics on copy.
 

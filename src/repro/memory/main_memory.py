@@ -6,6 +6,7 @@ memory itself stays a plain store. Unwritten blocks read as zero.
 """
 
 from repro.memory.datablock import BLOCK_SIZE, DataBlock, block_align
+from repro.sim.image import copy_value
 
 
 class MainMemory:
@@ -42,6 +43,14 @@ class MainMemory:
         addr = block_align(addr, self.block_size)
         block = self._blocks.get(addr)
         return block.copy() if block is not None else DataBlock(self.block_size)
+
+    def save_state(self, memo):
+        """Written blocks and the access counters."""
+        return (copy_value(self._blocks, memo), self.reads, self.writes)
+
+    def restore_state(self, image, memo):
+        blocks, self.reads, self.writes = image
+        self._blocks = copy_value(blocks, memo)
 
     def __repr__(self):
         return f"MainMemory(blocks={len(self._blocks)}, latency={self.latency})"

@@ -77,6 +77,16 @@ class HammerDirectory(CoherenceController):
     def owner_of(self, addr):
         return self.owners.get(self.align(addr))
 
+    def save_state(self, memo):
+        """Controller image plus the owner map."""
+        image = super().save_state(memo)
+        image["owners"] = dict(self.owners)
+        return image
+
+    def restore_state(self, image, memo):
+        super().restore_state(image, memo)
+        self.owners = dict(image["owners"])
+
     def snapshot_extra(self):
         """The owner map is directory state the base snapshot can't see."""
         return {"owners": dict(self.owners)}

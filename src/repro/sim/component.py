@@ -8,6 +8,7 @@ enqueues messages at their arrival tick and schedules a component wakeup.
 
 from bisect import bisect_right, insort
 
+from repro.sim.image import copy_value
 from repro.sim.stats import Stats
 
 
@@ -131,6 +132,25 @@ class MessageBuffer:
     def __len__(self):
         return len(self._entries) - self._head
 
+    # -- state images (see repro.sim.image) -----------------------------------
+
+    def save_state(self, memo):
+        """Queued ``(tick, seq, msg)`` entries and both seq counters."""
+        entries = self._entries
+        return (
+            tuple([(tick, seq, copy_value(msg, memo))
+                   for tick, seq, msg in entries[self._head:]]),
+            self._seq,
+            self._front_seq,
+        )
+
+    def restore_state(self, image, memo):
+        """Refill this buffer in place (the consumed prefix is dropped)."""
+        entries, self._seq, self._front_seq = image
+        self._entries = [(tick, seq, copy_value(msg, memo))
+                         for tick, seq, msg in entries]
+        self._head = 0
+
     def __iter__(self):
         entries = self._entries
         return (entries[i][2] for i in range(self._head, len(entries)))
@@ -218,6 +238,32 @@ class Component:
                 earliest = tick
         if earliest is not None:
             self.request_wakeup(earliest)
+
+    # -- state images (see repro.sim.image) -----------------------------------
+
+    def save_state(self, memo):
+        """Everything that decides this component's future behaviour.
+
+        The base image holds the input ports and the pending-wakeup
+        fields. Subclasses with more mutable state extend the dict and
+        :meth:`restore_state`; ``stats`` are history and stay out.
+        """
+        return {
+            "ports": tuple([buf.save_state(memo) for buf in self._port_buffers]),
+            "wakeup": (self._wakeup_tick, self._wakeup_token),
+        }
+
+    def restore_state(self, image, memo):
+        """Write ``image`` back in place.
+
+        In place, because closures and tuples built at construction (a
+        controller's ``fire``, ``_prio_ports``) hold these very objects.
+        The simulator's event queue must be restored from the same
+        save, so the wakeup token names a live queue slot.
+        """
+        for buf, saved in zip(self._port_buffers, image["ports"]):
+            buf.restore_state(saved, memo)
+        self._wakeup_tick, self._wakeup_token = image["wakeup"]
 
     def note_busy(self, ticks):
         """Account ``ticks`` of occupied processing time ending a wakeup.

@@ -27,6 +27,8 @@ rarely leaves tombstones at all.
 
 import heapq
 
+from repro.sim.image import copy_value, register_copier
+
 
 class Event:
     """A thin handle on a scheduled callback.
@@ -64,6 +66,19 @@ class Event:
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(tick={self.tick}, {state})"
+
+
+def _copy_event(event, memo):
+    """Image copy of a handle: same tick, callback and args, detached."""
+    dup = memo.get(id(event))
+    if dup is None:
+        dup = memo[id(event)] = Event(
+            event.tick, event.callback, copy_value(event.args, memo))
+        dup.cancelled = event.cancelled
+    return dup
+
+
+register_copier(Event, _copy_event)
 
 
 class EventQueue:
@@ -307,6 +322,44 @@ class EventQueue:
                 bucket[0] = i
             heapq.heappop(heap)
         return None
+
+    # -- state images (see repro.sim.image) ---------------------------------
+
+    def save_state(self, memo):
+        """The slot columns, buckets and heap, exactly.
+
+        Exact rather than logical, so every ``schedule_cb`` token a
+        component holds (``Component._wakeup_token``) still names the same
+        slot and generation after a restore. Event handles are copied
+        detached; :meth:`restore_state` attaches the copies of pending
+        ones. Only valid between runs (no bucket mid-drain).
+        """
+        return (
+            tuple(self._heap),
+            {tick: tuple(bucket) for tick, bucket in self._buckets.items()},
+            tuple([copy_value(obj, memo) for obj in self._objs]),
+            tuple(self._gens),
+            tuple(self._free),
+            self._live,
+            self._cancelled,
+        )
+
+    def restore_state(self, image, memo):
+        heap, buckets, objs, gens, free, self._live, self._cancelled = image
+        # in place: Simulator.run binds these lists while it drains
+        self._heap[:] = heap
+        self._buckets = {tick: list(bucket) for tick, bucket in buckets.items()}
+        live = []
+        for slot, obj in enumerate(objs):
+            if type(obj) is Event:
+                obj = copy_value(obj, memo)
+                obj._queue = self
+                obj._slot = slot
+            live.append(obj)
+        self._objs[:] = live
+        self._gens[:] = gens
+        self._free[:] = free
+        self._draining_tick = None
 
     def __len__(self):
         return self._live

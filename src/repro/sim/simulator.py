@@ -242,6 +242,22 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past ({tick} < {self.tick})")
         return self.events.schedule(tick, callback, *args)
 
+    # -- state images (see repro.sim.image) -------------------------------------
+
+    def save_state(self, memo):
+        """Clock, RNG and event queue; call between runs only.
+
+        Components save their own fields; ``_events_fired``, stats and
+        monitors are history or observers and stay out.
+        """
+        return (self.tick, self.rng.getstate(), self.events.save_state(memo))
+
+    def restore_state(self, image, memo):
+        tick, rng_state, events = image
+        self.tick = tick
+        self.rng.setstate(rng_state)
+        self.events.restore_state(events, memo)
+
     # -- the event loop --------------------------------------------------------
 
     def run(self, max_ticks=None, max_events=None, final_check=True):

@@ -29,23 +29,29 @@ transition system:
   deliverable message (deadlock freedom), and parked channels are
   bounded.
 
-States are *reconstructed by replay*: a frontier node is the choice path
-from the reset state plus the enabled actions read off it while it was
-live, and expanding it re-executes only its children. That makes frontier
-slices picklable — the BFS fans out over the campaign executor
-(:func:`repro.eval.campaign.run_campaign`) with byte-identical
-visited-set digests for any worker count — and makes every
-counterexample a replayable trace on the live simulator by construction.
+A frontier node is its choice path from the reset state plus the
+enabled actions read off it while it was live. Nodes are expanded by
+exact **save/restore** (:mod:`repro.sim.image`): one harness per serial
+run or shard job resets to its root image, replays the node's path once,
+saves the state, and derives each child as *restore + one action*.
+Paths keep frontier slices picklable, so the BFS fans out over the
+campaign executor (:func:`repro.eval.campaign.run_campaign`) with
+byte-identical visited-set digests for any worker count, and every
+counterexample is rebuilt by :func:`replay_path` on a fresh simulator,
+so it is a replayable trace by construction.
 """
 
 import hashlib
 from dataclasses import replace as dc_replace
+from itertools import permutations
+from time import perf_counter
 
 from repro.coherence.controller import ProtocolError
 from repro.coherence.snapshot import snap_message
 from repro.eval.campaign import CampaignJob, run_campaign, shard_evenly
 from repro.host.config import AccelOrg, HostProtocol, SystemConfig
 from repro.host.system import build_system
+from repro.sim.image import copy_value
 from repro.sim.simulator import DeadlockError
 from repro.testing.invariants import InvariantError, check_all
 from repro.xg.interface import XGVariant
@@ -175,8 +181,12 @@ class ExplorerHarness:
         self.parked = []
         for net in (self.system.host_net, self.system.accel_net):
             self._install_park(net)
-        self._core_maps = self._build_core_maps()
+        self._symmetries = self._build_symmetries()
+        #: rendered texts per symmetry, keyed by (part name, repr(value));
+        #: lives as long as this harness (one shard job or explore_cell)
+        self._text_memo = {}
         self._settle()
+        self._root_image = self.save_state()
 
     # -- network parking ------------------------------------------------------
 
@@ -202,6 +212,43 @@ class ExplorerHarness:
                 return
             sim.run(max_ticks=tick, final_check=False)
         raise ExplorationError("settle did not converge within 100000 rounds")
+
+    # -- fork by exact save/restore ------------------------------------------
+
+    def save_state(self):
+        """Image of the current settled state (see :mod:`repro.sim.image`).
+
+        A settled state has no event inside the settle horizon, so the
+        simulator (clock, RNG, far-future probe timeouts), every
+        component, the memory and the parked channels are the whole
+        state. One memo spans all of them, so an object referenced from
+        two places stays one object.
+        """
+        memo = {}
+        return (
+            self.sim.save_state(memo),
+            tuple([comp.save_state(memo) for comp in self.sim.components]),
+            self.system.memory.save_state(memo),
+            tuple([(parked.net, parked.port, copy_value(parked.msg, memo))
+                   for parked in self.parked]),
+        )
+
+    def restore_state(self, image):
+        """Put this harness back into the state ``image`` was saved from."""
+        memo = {}
+        sim_image, components, memory, parked = image
+        # the queue first: it attaches the event copies TBEs point at
+        self.sim.restore_state(sim_image, memo)
+        for comp, saved in zip(self.sim.components, components):
+            comp.restore_state(saved, memo)
+        self.system.memory.restore_state(memory, memo)
+        # in place: the park_send closures append to this list
+        self.parked[:] = [_ParkedMessage(net, port, copy_value(msg, memo))
+                          for net, port, msg in parked]
+
+    def reset(self):
+        """Back to the reset state this harness settled into when built."""
+        self.restore_state(self._root_image)
 
     # -- choice enumeration ---------------------------------------------------
 
@@ -279,8 +326,11 @@ class ExplorerHarness:
                 return False
         return True
 
-    def state_problems(self, check=None):
-        """All safety-check failures of the current state (empty = clean)."""
+    def state_problems(self, check=None, quiescent=None):
+        """All safety-check failures of the current state (empty = clean).
+
+        ``quiescent`` is :meth:`is_quiescent` when the caller already has it.
+        """
         problems = []
         for log in self.system.error_logs:
             if len(log):
@@ -292,7 +342,9 @@ class ExplorerHarness:
             problems.append(
                 f"channel bound exceeded: {len(self.parked)} parked "
                 f"messages > {self.channel_bound}")
-        if self.is_quiescent():
+        if quiescent is None:
+            quiescent = self.is_quiescent()
+        if quiescent:
             try:
                 check_all(self.system)
             except InvariantError as exc:
@@ -355,22 +407,23 @@ class ExplorerHarness:
 
     # -- canonical hashing ----------------------------------------------------
 
-    def _build_core_maps(self):
-        """All CPU-core renamings as exact-string maps (identity included)."""
-        from itertools import permutations
-
+    def _build_symmetries(self):
+        """Every ``(name_map, addr_map)`` pair: CPU-core renamings (as
+        exact-string maps) times address permutations, identity included."""
         seqs = [seq.name for seq in self.system.cpu_seqs]
         caches = [cache.name for cache in self.system.cpu_caches]
-        maps = []
+        symmetries = []
         for perm in permutations(range(len(seqs))):
-            mapping = {}
+            name_map = {}
             for source, target in enumerate(perm):
                 if source == target:
                     continue
-                mapping[seqs[source]] = seqs[target]
-                mapping[caches[source]] = caches[target]
-            maps.append(mapping)
-        return maps
+                name_map[seqs[source]] = seqs[target]
+                name_map[caches[source]] = caches[target]
+            for addr_perm in permutations(self.addresses):
+                symmetries.append(
+                    (name_map, dict(zip(self.addresses, addr_perm))))
+        return symmetries
 
     def snapshot(self):
         """Logical full-system state as plain data (no ticks, no uids)."""
@@ -402,17 +455,39 @@ class ExplorerHarness:
         }
 
     def canonical(self):
-        """Canonical state text: min over core and address renamings."""
-        snap = self.snapshot()
-        best = None
-        from itertools import permutations
+        """Canonical state text: min over core and address renamings.
 
-        for name_map in self._core_maps:
-            for addr_perm in permutations(self.addresses):
-                addr_map = dict(zip(self.addresses, addr_perm))
-                text = _canonical_text(snap, name_map, addr_map)
-                if best is None or text < best:
-                    best = text
+        Byte for byte ``min(_canonical_text(snapshot, *symmetry))``, but
+        each component (name and state) and each of ``bag``, ``lanes``
+        and ``memory`` is rendered under every symmetry only the first
+        time its value is seen; later states reuse the texts. Per
+        symmetry, the component items are then sorted and joined.
+        """
+        snap = self.snapshot()
+        symmetries = self._symmetries
+        memo = self._text_memo
+
+        def texts(part, value):
+            memo_key = (part, repr(value))
+            rendered = memo.get(memo_key)
+            if rendered is None:
+                rendered = memo[memo_key] = tuple([
+                    _item_text(part, value, name_map, addr_map)
+                    for name_map, addr_map in symmetries])
+            return rendered
+
+        components = [texts(name, state)
+                      for name, state in snap["components"].items()]
+        parts = [texts(part, snap[part]) for part in ("bag", "lanes", "memory")]
+        best = None
+        for index in range(len(symmetries)):
+            items = sorted([rendered[index] for rendered in components])
+            top = [rendered[index] for rendered in parts]
+            top.append(f"('components', {_dict_text(items)})")
+            top.sort()
+            text = _dict_text(top)
+            if best is None or text < best:
+                best = text
         return best
 
     def digest(self):
@@ -436,16 +511,27 @@ def _canonical_text(obj, name_map, addr_map):
     if isinstance(obj, int):
         return repr(addr_map.get(obj, obj))
     if isinstance(obj, dict):
-        texts = sorted([
-            f"({_canonical_text(key, name_map, addr_map)}, "
-            f"{_canonical_text(value, name_map, addr_map)})"
-            for key, value in obj.items()])
-        head = "('dict', ("
-    elif isinstance(obj, (list, tuple)):
-        texts = [_canonical_text(value, name_map, addr_map) for value in obj]
-        head = "('tuple', ("
-    else:
-        return repr(obj)
+        return _dict_text(sorted([
+            _item_text(key, value, name_map, addr_map)
+            for key, value in obj.items()]))
+    if isinstance(obj, (list, tuple)):
+        return _join_text("('tuple', (", [
+            _canonical_text(value, name_map, addr_map) for value in obj])
+    return repr(obj)
+
+
+def _item_text(key, value, name_map, addr_map):
+    """One dict item, ``(key, value)``, as :func:`_canonical_text` renders it."""
+    return (f"({_canonical_text(key, name_map, addr_map)}, "
+            f"{_canonical_text(value, name_map, addr_map)})")
+
+
+def _dict_text(item_texts):
+    """A dict from its already sorted item texts."""
+    return _join_text("('dict', (", item_texts)
+
+
+def _join_text(head, texts):
     if len(texts) == 1:
         return f"{head}{texts[0]},))"
     return f"{head}{', '.join(texts)}))"
@@ -475,57 +561,98 @@ def replay_path(cell, path, channel_bound=DEFAULT_CHANNEL_BOUND):
     return harness
 
 
-def _expand_paths(cell, nodes, check=None, channel_bound=DEFAULT_CHANNEL_BOUND):
+#: Wall-clock phases of node expansion, in the order ``--progress``
+#: prints them. Timings travel on shard records only: never in results.
+PHASES = ("replay", "restore", "apply+settle", "canonical", "checks")
+
+
+def _expand_paths(cell, nodes, check=None, channel_bound=DEFAULT_CHANNEL_BOUND,
+                  harness=None):
     """Campaign shard runner: expand each frontier node to its children.
 
     A node is ``[path, actions, quiescent]``: its choice path from reset
-    plus what was read off it while it was live as a child. Returns plain
-    picklable records; the parent BFS merges them in submission order,
-    so sharding never changes the result.
+    plus what was read off it while it was live as a child. Every node
+    of the shard is expanded on one harness (``harness``, or one built
+    here). Returns plain picklable records; the parent BFS merges them in
+    submission order, so sharding never changes the result.
     """
+    if harness is None:
+        harness = ExplorerHarness(cell, channel_bound=channel_bound)
     return [
-        _expand_one(cell, tuple(tuple(a) for a in path), actions, quiescent,
-                    check, channel_bound)
+        _expand_one(harness, tuple(tuple(a) for a in path), actions,
+                    quiescent, check)
         for path, actions, quiescent in nodes
     ]
 
 
-def _expand_one(cell, path, actions, quiescent, check, channel_bound):
-    """Replay, check and hash each child of one node.
+def _expand_one(harness, path, actions, quiescent, check):
+    """Check and hash each child of one node.
 
-    The node itself was checked, hashed and harvested while it was a
-    child (or is the root, done in :func:`explore_cell`), so it is only
-    replayed again if a counterexample has to name it.
+    The node is rebuilt once: the harness is reset to its root image,
+    the node's path is replayed and the result saved. Each child is then
+    that image restored plus one action (the first child skips the
+    restore: the harness is already in the saved state). The node itself
+    was checked, hashed and harvested while it was a child (or is the
+    root, done in :func:`explore_cell`). A counterexample is rebuilt by
+    :func:`replay_path`.
     """
+    cell = harness.cell
+    phases = dict.fromkeys(PHASES, 0.0)
     record = {"path": [list(a) for a in path], "children": [],
-              "violation": None, "covered": {}, "projections": set()}
+              "violation": None, "covered": {}, "projections": set(),
+              "phases": phases}
 
-    def fail(reason, action=None, harness=None):
+    def fail(reason, action=None, live=None):
         trace = path if action is None else path + (tuple(action),)
-        if harness is None:
-            harness = replay_path(cell, path, channel_bound=channel_bound)
-        record["violation"] = _violation(cell, trace, reason, check, harness)
+        if live is None:
+            live = replay_path(cell, path, channel_bound=harness.channel_bound)
+        record["violation"] = _violation(cell, trace, reason, check, live)
 
     if not quiescent and not any(a[0] == "deliver" for a in actions):
         fail("deadlock: non-quiescent state with no deliverable message")
         return _finish(record)
-    for action in actions:
-        child = replay_path(cell, path, channel_bound=channel_bound)
+    start = perf_counter()
+    harness.reset()
+    for action in path:
+        harness.apply(action)
+    image = harness.save_state()
+    mark = perf_counter()
+    phases["replay"] += mark - start
+    for index, action in enumerate(actions):
+        if index:  # the first child starts from the replayed state itself
+            harness.restore_state(image)
+        now = perf_counter()
+        phases["restore"] += now - mark
+        mark = now
         try:
-            child.apply(action)
+            harness.apply(action)
         except (ProtocolError, InvariantError, DeadlockError) as exc:
             fail(f"{type(exc).__name__}: {exc}", action)
             break
-        problems = child.state_problems(check)
+        now = perf_counter()
+        phases["apply+settle"] += now - mark
+        mark = now
+        child_quiescent = harness.is_quiescent()
+        problems = harness.state_problems(check, child_quiescent)
         if problems:
-            fail(problems[0], action, child)
+            fail(problems[0], action, replay_path(
+                cell, path + (tuple(action),),
+                channel_bound=harness.channel_bound))
             break
-        _harvest(record["covered"], record["projections"], child)
+        _harvest(record["covered"], record["projections"], harness)
+        child_actions = [list(a) for a in harness.enabled_actions()]
+        now = perf_counter()
+        phases["checks"] += now - mark
+        mark = now
+        digest = harness.digest()
+        now = perf_counter()
+        phases["canonical"] += now - mark
+        mark = now
         record["children"].append({
             "action": list(action),
-            "digest": child.digest(),
-            "quiescent": child.is_quiescent(),
-            "actions": [list(a) for a in child.enabled_actions()],
+            "digest": digest,
+            "quiescent": child_quiescent,
+            "actions": child_actions,
         })
     return _finish(record)
 
@@ -569,7 +696,12 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
 
     ``workers > 1`` shards each BFS level over the campaign executor;
     results merge in submission order, so the visited-set digest is
-    byte-identical to the serial run.
+    byte-identical to the serial run. A serial run expands every level
+    on the root's harness; a sharded one builds one harness per shard.
+
+    ``progress(depth, states, frontier, phases)`` is called after each
+    level; ``phases`` maps each name in :data:`PHASES` to the
+    ``perf_counter`` seconds that level spent in it, summed over shards.
     """
     cell = {"host": host, "variant": variant,
             "addresses": addresses, "n_cpus": n_cpus}
@@ -586,15 +718,18 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     transitions = 0
     truncated = False
     depth = 0
-    problems = root.state_problems(check)
+    problems = root.state_problems(check, root_quiescent)
     if problems:
         counterexample = _violation(cell, (), problems[0], check, root)
         depth = 1  # the root's level was examined
     frontier = [((), [list(a) for a in root.enabled_actions()], root_quiescent)]
     while frontier and counterexample is None:
-        records = _expand_frontier(cell, frontier, workers, check, channel_bound)
+        records = _expand_frontier(root, frontier, workers, check)
         next_frontier = []
+        phases = dict.fromkeys(PHASES, 0.0)
         for record in records:
+            for phase, seconds in record["phases"].items():
+                phases[phase] += seconds
             for ctype, pairs in record["covered"].items():
                 reachable.setdefault(ctype, set()).update(
                     tuple(pair) for pair in pairs)
@@ -618,7 +753,7 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
                                       child["actions"], child["quiescent"]))
         depth += 1
         if progress is not None:
-            progress(depth, len(visited), len(next_frontier))
+            progress(depth, len(visited), len(next_frontier), phases)
         frontier = next_frontier
     return {
         "cell": cell,
@@ -637,11 +772,12 @@ def explore_cell(host="mesi", variant="full_state", addresses=1, n_cpus=2,
     }
 
 
-def _expand_frontier(cell, frontier, workers, check, channel_bound):
+def _expand_frontier(harness, frontier, workers, check):
+    cell, channel_bound = harness.cell, harness.channel_bound
     nodes = [[[list(a) for a in path], actions, quiescent]
              for path, actions, quiescent in frontier]
     if workers <= 1 or len(nodes) <= 1:
-        return _expand_paths(cell, nodes, check, channel_bound)
+        return _expand_paths(cell, nodes, check, channel_bound, harness)
     shards = shard_evenly(nodes, workers * 4)
     jobs = [
         CampaignJob(

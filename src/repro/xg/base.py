@@ -25,6 +25,7 @@ from collections import deque
 from repro.coherence.controller import CONSUMED, RETRY, STALL, CoherenceController
 from repro.coherence.tbe import TBETable
 from repro.memory.datablock import DataBlock, block_align
+from repro.sim.image import copy_value, image_slots
 from repro.sim.message import Message
 from repro.xg.errors import Guarantee, XGErrorLog
 from repro.xg.interface import (
@@ -39,6 +40,7 @@ from repro.xg.permissions import PagePermission, PermissionTable
 from repro.xg.rate_limiter import RateLimiter
 
 
+@image_slots
 class MirrorEntry:
     """Full State XG's record of one block present at the accelerator.
 
@@ -252,6 +254,33 @@ class CrossingGuardBase(CoherenceController):
                 for addr, entry in self.mirror.items()
             }
         return extra
+
+    # -- state images -------------------------------------------------------------------
+
+    def save_state(self, memo):
+        """Controller image plus the mirror, the error log, the rate
+        limiter, dedupe history and retry-echo budgets."""
+        image = super().save_state(memo)
+        image["mirror"] = copy_value(self.mirror, memo)
+        image["mirror_high_water"] = self.mirror_high_water
+        image["errors"] = (tuple(self.error_log.errors),
+                           self.error_log.accel_disabled)
+        image["rate_limiter"] = dict(vars(self.rate_limiter))
+        image["seen_uids"] = tuple(self._seen_uid_ring)
+        image["absorb_responses"] = copy_value(self._absorb_responses, memo)
+        return image
+
+    def restore_state(self, image, memo):
+        super().restore_state(image, memo)
+        self.mirror = copy_value(image["mirror"], memo)
+        self.mirror_high_water = image["mirror_high_water"]
+        # the log and the limiter are shared with the system: in place
+        errors, self.error_log.accel_disabled = image["errors"]
+        self.error_log.errors[:] = errors
+        vars(self.rate_limiter).update(image["rate_limiter"])
+        self._seen_uid_ring = deque(image["seen_uids"])
+        self._seen_uids = set(self._seen_uid_ring)
+        self._absorb_responses = copy_value(image["absorb_responses"], memo)
 
     # -- duplicate suppression (unreliable accel link) -----------------------------------
 

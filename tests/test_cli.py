@@ -97,6 +97,12 @@ def test_explore_reports_states_per_sec(capsys, tmp_path):
     captured = capsys.readouterr()
     assert "states/s" in captured.out  # table column
     assert "states/s" in captured.err  # --progress lines
+    # each level's wall-clock split over the expansion phases
+    level = next(line for line in captured.err.splitlines() if "depth 1," in line)
+    split = level[level.index("[") + 1:level.index("]")].split()
+    assert split[::2] == ["replay", "restore", "apply+settle", "canonical",
+                          "checks"]
+    assert all(seconds.endswith("s") for seconds in split[1::2])
     import json
 
     cell = json.loads(report.read_text())["cells"][0]

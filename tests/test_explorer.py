@@ -5,6 +5,7 @@ marked ``explore_full`` and only run with ``--explore-full`` (CI's
 explore-smoke job and local deep verification).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.verify.explorer import (
     cross_check_coverage,
     explore_cell,
     load_reachable_report,
+    _canonical_text,
     replay_path,
     run_cell_stress,
     state_set_digest,
@@ -130,6 +132,21 @@ def test_address_renaming_symmetry():
     assert a.digest() == b.digest()
 
 
+def test_memoized_canonical_equals_full_rendering():
+    """The per-part text memo reproduces the one-pass rendering exactly."""
+    cell2 = dict(CELL, addresses=2)
+    harness = ExplorerHarness(cell2)
+    for action in [("issue", 0, "store", ADDRESS_POOL[1]),
+                   ("issue", 2, "load", ADDRESS_POOL[0]),
+                   ("deliver", 0), ("deliver", 0), ("deliver", 0)]:
+        harness.apply(action)
+        full = min(_canonical_text(harness.snapshot(), name_map, addr_map)
+                   for name_map, addr_map in harness._symmetries)
+        assert len(harness._symmetries) == 4  # 2 core maps x 2 address maps
+        assert harness.canonical() == full
+        assert harness.canonical() == full  # second call: all memo hits
+
+
 def test_replay_is_deterministic():
     path = [("issue", 0, "store", ADDR), ("deliver", 0)]
     assert replay_path(CELL, path).digest() == replay_path(CELL, path).digest()
@@ -160,32 +177,55 @@ def test_serial_and_sharded_digests_identical():
 
 # -- pinned explorer behaviour ------------------------------------------------
 
-#: ``(states, transitions, quiescent_states, digest)`` of capped cells.
-#: Any change to the canonical text, the symmetry reduction or the BFS
-#: order changes them.
+#: ``(states, transitions, quiescent_states, digest, reachable sha256,
+#: projections sha256)`` of capped cells. The two hashes cover every
+#: other result field: :func:`_result_sha` of ``reachable`` and of
+#: ``projections``. Any change to the canonical text, the symmetry
+#: reduction, the BFS order or the state a child is expanded from
+#: changes them.
 PINNED_CELLS = {
     ("mesi", "full_state", 1, 150): (
         150, 627, 3,
-        "5aca09dfb9007c42c3b83b385b8cdcde76d79c4654865d90040f927487a33f78"),
+        "5aca09dfb9007c42c3b83b385b8cdcde76d79c4654865d90040f927487a33f78",
+        "18aac3eda77239abb062d8469871d63227dbb0041ef36e7fcf4b3d1fd41f8250",
+        "b64545a81c504ba786c0b258e634667b280d512b37387f625fe9f44c8f0ef7dc"),
     ("mesi", "transactional", 1, 150): (
         150, 627, 3,
-        "073bec0881879ba45f710b4f5c63f15bc7e2ab6aaaf37cfec903b7e6b682086a"),
+        "073bec0881879ba45f710b4f5c63f15bc7e2ab6aaaf37cfec903b7e6b682086a",
+        "18aac3eda77239abb062d8469871d63227dbb0041ef36e7fcf4b3d1fd41f8250",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     ("hammer", "full_state", 1, 150): (
         150, 777, 1,
-        "e1088475a1f9a3535f08e947bd7dbcc8e47726220c47dbc5a9e198001f4184b6"),
+        "e1088475a1f9a3535f08e947bd7dbcc8e47726220c47dbc5a9e198001f4184b6",
+        "20d6294318c827da87b17e28a66eb7a33a9b7afc35938d62486235286b66e68d",
+        "86d493cf9acc66d1fc400bcd43cddcfa1cede09835fb758736e519506324d49c"),
     ("hammer", "transactional", 1, 150): (
         150, 780, 1,
-        "743ec67a3acceef073e7b8bb7471b2c50106ed18ad0b7f19354b87699583385e"),
+        "743ec67a3acceef073e7b8bb7471b2c50106ed18ad0b7f19354b87699583385e",
+        "829aae2076b8798e01195191d90143380d1902698f1d16c5ada25b557cae7dfc",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     ("mesif", "full_state", 1, 150): (
         150, 627, 3,
-        "142805b23761feff7aec1ab34545a8ed1a78648d29c7ff979ddc9ece7d148981"),
+        "142805b23761feff7aec1ab34545a8ed1a78648d29c7ff979ddc9ece7d148981",
+        "45d3adc43f1579c1d5893a006ea507fcb83dbb7b0606ac33697be3af1c3ca628",
+        "b64545a81c504ba786c0b258e634667b280d512b37387f625fe9f44c8f0ef7dc"),
     ("mesif", "transactional", 1, 150): (
         150, 627, 3,
-        "9e64ec58341cc0f90de8acd8a3887bf6c97940b65c4c33a102978c5e618c4998"),
+        "9e64ec58341cc0f90de8acd8a3887bf6c97940b65c4c33a102978c5e618c4998",
+        "45d3adc43f1579c1d5893a006ea507fcb83dbb7b0606ac33697be3af1c3ca628",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     ("mesi", "full_state", 2, 100): (
         100, 520, 1,
-        "d7636c05a3ff1cd149e38f5f787774cd3c3b6e6ddf79be5c4c7937fcaebdfe00"),
+        "d7636c05a3ff1cd149e38f5f787774cd3c3b6e6ddf79be5c4c7937fcaebdfe00",
+        "d2d15a0df4f4f518662081a09ffa57dfe52f2be043bce8915a58b784c8b9e63a",
+        "c93f9f1741027ce11d42eff47bb79e265a0398c951729d4c526206af70a5579e"),
 }
+
+
+def _result_sha(value):
+    """sha256 of one result field's canonical JSON (keys sorted)."""
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("host,variant,addresses,cap", sorted(PINNED_CELLS))
@@ -194,7 +234,9 @@ def test_pinned_cell_counts_and_digest(host, variant, addresses, cap):
                           max_states=cap)
     assert result["ok"]
     assert (result["states"], result["transitions"],
-            result["quiescent_states"], result["digest"]) == PINNED_CELLS[
+            result["quiescent_states"], result["digest"],
+            _result_sha(result["reachable"]),
+            _result_sha(result["projections"])) == PINNED_CELLS[
                 (host, variant, addresses, cap)]
 
 
